@@ -64,7 +64,6 @@ import (
 	"gcsim/internal/cliutil"
 	"gcsim/internal/core"
 	"gcsim/internal/gc"
-	"gcsim/internal/mem"
 	"gcsim/internal/report"
 	"gcsim/internal/scheme"
 	"gcsim/internal/server"
@@ -189,7 +188,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfgs, err := parseConfigs(*cacheSize, *blockSize, *policy)
+	cfgs, err := cliutil.ParseConfigs(*cacheSize, *blockSize, *policy)
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
@@ -315,47 +314,6 @@ func checkRecordFile(path string) error {
 	return telemetry.ValidateRecordJSON(data)
 }
 
-// parseConfigs expands the comma-separated size/block/policy lists into
-// the cross product of cache configurations, in list order.
-func parseConfigs(sizes, blocks, policies string) ([]cache.Config, error) {
-	sizeList, err := cliutil.ParseSizeList(sizes)
-	if err != nil {
-		return nil, err
-	}
-	blockList, err := cliutil.ParseIntList(blocks)
-	if err != nil {
-		return nil, err
-	}
-	var polList []cache.WritePolicy
-	if policies == "both" {
-		polList = []cache.WritePolicy{cache.WriteValidate, cache.FetchOnWrite}
-	} else {
-		for _, p := range strings.Split(policies, ",") {
-			switch strings.TrimSpace(p) {
-			case "write-validate":
-				polList = append(polList, cache.WriteValidate)
-			case "fetch-on-write":
-				polList = append(polList, cache.FetchOnWrite)
-			default:
-				return nil, fmt.Errorf("unknown policy %q", p)
-			}
-		}
-	}
-	var cfgs []cache.Config
-	for _, pol := range polList {
-		for _, size := range sizeList {
-			for _, block := range blockList {
-				cfg := cache.Config{SizeBytes: size, BlockBytes: block, Policy: pol}
-				if err := cfg.Validate(); err != nil {
-					return nil, err
-				}
-				cfgs = append(cfgs, cfg)
-			}
-		}
-	}
-	return cfgs, nil
-}
-
 func runWorkload(ctx context.Context, out io.Writer, name string, scale int, col gc.Collector, cfgs []cache.Config, opts sweepOpts) error {
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -443,28 +401,13 @@ func runFile(ctx context.Context, out io.Writer, path string, col gc.Collector, 
 	if err != nil {
 		return err
 	}
-	var (
-		tracer mem.Tracer
-		bank   *cache.Bank
-		par    *cache.ParallelBank
-	)
-	if core.Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		fused := cache.NewFusedBank(cfgs)
-		tracer = fused
-		bank = fused.Bank()
-	}
-	m := vm.NewLoaded(tracer, col)
+	bank := cache.NewFusedBankWorkers(cfgs, core.Parallelism())
+	m := vm.NewLoaded(bank, col)
 	m.VerifyHeap = core.VerifyHeapEnabled()
 	stop := context.AfterFunc(ctx, m.Interrupt)
 	defer stop()
 	v, err := m.Eval(string(src))
-	if par != nil {
-		par.Drain()
-		bank = par.Bank()
-	}
+	bank.Drain()
 	if err != nil {
 		if errors.Is(err, vm.ErrInterrupted) && ctx.Err() != nil {
 			err = fmt.Errorf("%w: %w", ctx.Err(), err)

@@ -79,7 +79,7 @@ func TestStdoutByteIdenticalWithTelemetry(t *testing.T) {
 // record-once/replay-many engine at the CLI level: a sweep driven by a
 // trace cache — both the pass that records the trace and a later pass
 // that replays it from disk — prints a byte-identical report to a live
-// sweep, serially and with the parallel bank, and also when the sweep is
+// sweep, with the bank inline and sharded, and also when the sweep is
 // routed through the checkpointed per-config path.
 func TestStdoutByteIdenticalWithTraceCache(t *testing.T) {
 	cfgs := []cache.Config{
@@ -132,7 +132,7 @@ func mustWorkload(t *testing.T, name string) *workloads.Workload {
 
 // TestRecordsIdenticalAcrossParallelism checks that the telemetry record
 // itself (minus wall-clock and host fields) is deterministic: snapshots
-// and GC events match bit for bit between the serial and parallel banks.
+// and GC events match bit for bit between inline and sharded banks.
 func TestRecordsIdenticalAcrossParallelism(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 32 << 10, BlockBytes: 64, Policy: cache.WriteValidate},

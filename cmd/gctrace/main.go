@@ -1,36 +1,32 @@
 // Command gctrace captures a workload's data-reference trace to a file,
-// or replays a captured trace into a cache configuration — the paper's
+// or replays a captured trace into cache configurations — the paper's
 // trace-driven simulation methodology as standalone artifacts.
 //
 // Captures are written in trace format v2 (framed chunks, optionally
-// flate-compressed with -compress; see internal/traceio). Replay accepts
-// v2 files, legacy v1 files, and gzip-compressed legacy captures (the
-// pre-v2 gctrace wrote gzip-wrapped v1), and decodes v2 frames on a
-// goroutine pool (-parallel). Both modes report reference counts and
-// host throughput; -timeout and SIGINT/SIGTERM cancel cleanly.
-//
-// Replay accepts comma-separated -cache and -block lists; the cross
-// product is simulated in one pass. Multi-configuration replays of v2
-// traces take the fused path — each frame is decoded exactly once and
-// fanned out to every configuration — and report the per-stage
-// decode/simulate/merge breakdown.
+// flate-compressed with -compress; see internal/traceio), the only format
+// replay reads: a file from the retired format v1 is refused and must be
+// re-captured. Replay decodes each frame exactly once (on a pool of
+// -parallel goroutines) and fans it out to every configuration of the
+// comma-separated -cache × -block cross product through the fused cache
+// bank, whose lanes are sharded across -parallel workers; it reports
+// reference counts, host throughput and the per-stage
+// decode/simulate/merge breakdown. -cache none replays into a null
+// consumer to measure delivery alone. -timeout and SIGINT/SIGTERM cancel
+// cleanly.
 //
 // Usage:
 //
 //	gctrace -capture trace.v2 -workload tc [-scale N] [-gc cheney] [-compress]
 //	gctrace -replay trace.v2 -cache 64k -block 64 [-policy write-validate]
 //	        [-parallel N] [-timeout 10m]
-//	gctrace -replay trace.v2 -cache 32k,64k,128k,256k -block 32,64  # fused sweep
+//	gctrace -replay trace.v2 -cache 32k,64k,128k,256k -block 32,64  # one pass, 8 configs
 //	gctrace -replay trace.v2 -cache none   # null consumer: delivery rate only
 package main
 
 import (
-	"bufio"
-	"compress/gzip"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,7 +37,6 @@ import (
 	"gcsim/internal/cliutil"
 	"gcsim/internal/core"
 	"gcsim/internal/gc"
-	"gcsim/internal/mem"
 	"gcsim/internal/traceio"
 	"gcsim/internal/vm"
 	"gcsim/internal/workloads"
@@ -58,8 +53,8 @@ func main() {
 	compress := flag.Bool("compress", false, "flate-compress trace frames during capture")
 	cacheSize := flag.String("cache", "64k", "replay cache sizes, comma-separated (none = null consumer, measures delivery rate)")
 	blockSize := flag.String("block", "64", "replay block sizes, comma-separated")
-	policy := flag.String("policy", "write-validate", "replay write-miss policy: write-validate or fetch-on-write")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "replay frame-decoder goroutines (1 = inline)")
+	policy := flag.String("policy", "write-validate", "replay write-miss policies, comma-separated: write-validate, fetch-on-write, or both")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "replay frame-decoder goroutines and cache-lane workers (1 = inline)")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	flag.Parse()
 
@@ -139,171 +134,49 @@ func capture(ctx context.Context, path, workloadName string, scale int, gcName s
 func replay(ctx context.Context, path, cacheSize, blockSize, policy string, parallel int) error {
 	var cfgs []cache.Config
 	if cacheSize != "none" {
-		sizes, err := cliutil.ParseSizeList(cacheSize)
-		if err != nil {
+		var err error
+		if cfgs, err = cliutil.ParseConfigs(cacheSize, blockSize, policy); err != nil {
 			return err
 		}
-		blocks, err := cliutil.ParseIntList(blockSize)
-		if err != nil {
-			return err
-		}
-		var pol cache.WritePolicy
-		switch policy {
-		case "write-validate":
-			pol = cache.WriteValidate
-		case "fetch-on-write":
-			pol = cache.FetchOnWrite
-		default:
-			return fmt.Errorf("unknown policy %q", policy)
-		}
-		for _, size := range sizes {
-			for _, block := range blocks {
-				cfg := cache.Config{SizeBytes: size, BlockBytes: block, Policy: pol}
-				if err := cfg.Validate(); err != nil {
-					return err
-				}
-				cfgs = append(cfgs, cfg)
-			}
-		}
-	}
-	if len(cfgs) > 1 {
-		return replaySweep(ctx, path, cfgs, parallel)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := sniffGzip(f)
+	sr, err := traceio.NewSharedReplayer(f)
 	if err != nil {
 		return err
 	}
-	rp, err := traceio.NewReplayer(r)
-	if err != nil {
-		return err
-	}
-	rp.SetDecoders(parallel)
-	var c *cache.Cache
-	var sink mem.Tracer = &nullSink{}
-	if len(cfgs) == 1 {
-		c = cache.New(cfgs[0])
-		sink = c
-	}
+	sr.SetDecoders(parallel)
+
+	// With -cache none the bank holds no configurations: a null sink that
+	// measures pure trace-delivery throughput.
+	bank := cache.NewFusedBankWorkers(cfgs, parallel)
 	start := time.Now()
-	n, err := rp.Run(ctx, sink)
+	n, err := sr.Run(ctx, bank)
+	bank.Drain()
 	if err != nil {
 		return err
 	}
 	dur := time.Since(start)
-	if c == nil {
-		fmt.Printf("replayed %d references into a null consumer (trace format v%d)\n", n, rp.Version())
-		fmt.Printf("throughput: %.1fM refs/s (%.2fs host time)\n",
-			refsPerSec(n, dur)/1e6, dur.Seconds())
+
+	if len(cfgs) == 0 {
+		fmt.Printf("replayed %d references into a null consumer (trace format v%d)\n", n, traceio.FormatVersion)
+		fmt.Printf("throughput: %.1fM refs/s (%.2fs host time)\n", refsPerSec(n, dur)/1e6, dur.Seconds())
 		return nil
 	}
-	fmt.Printf("replayed %d references into %v (trace format v%d)\n", n, c.Config(), rp.Version())
-	fmt.Printf("throughput: %.1fM refs/s (%.2fs host time)\n",
-		refsPerSec(n, dur)/1e6, dur.Seconds())
-	fmt.Printf("misses: %d penalized, %d allocation claims, miss ratio %.5f\n",
-		c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio())
-	fmt.Printf("collector misses: %d\n", c.S.GCMisses())
-	return nil
-}
-
-// replaySweep replays one trace into several cache configurations in a
-// single pass. v2 traces take the fused path: each frame is decoded
-// exactly once and fanned out to every configuration's tag state. Legacy
-// v1 traces (no frame stamps) fall back to a serial bank replay.
-func replaySweep(ctx context.Context, path string, cfgs []cache.Config, parallel int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := sniffGzip(f)
-	if err != nil {
-		return err
-	}
-
-	fused := cache.NewFusedBank(cfgs)
-	sr, serr := traceio.NewSharedReplayer(r)
-	var (
-		n       uint64
-		version int
-		dur     time.Duration
-	)
-	if serr == nil {
-		sr.SetDecoders(parallel)
-		start := time.Now()
-		n, err = sr.Run(ctx, fused)
-		if err != nil {
-			return err
-		}
-		dur = time.Since(start)
-		version = 2
-	} else {
-		// The shared replayer consumed the header probing the version;
-		// reopen and feed the bank view serially.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		r, err = sniffGzip(f)
-		if err != nil {
-			return err
-		}
-		rp, err := traceio.NewReplayer(r)
-		if err != nil {
-			return err
-		}
-		rp.SetDecoders(parallel)
-		start := time.Now()
-		n, err = rp.Run(ctx, fused.Bank())
-		if err != nil {
-			return err
-		}
-		dur = time.Since(start)
-		version = rp.Version()
-	}
-
-	pathName := "fused single pass"
-	if serr != nil {
-		pathName = "serial bank fallback"
-	}
-	fmt.Printf("replayed %d references into %d configurations (trace format v%d, %s)\n",
-		n, len(cfgs), version, pathName)
+	fmt.Printf("replayed %d references into %d configuration(s) (trace format v%d)\n",
+		n, len(cfgs), traceio.FormatVersion)
 	fmt.Printf("throughput: %.1fM refs/s delivered, %.1fM cache accesses/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, refsPerSec(n*uint64(len(cfgs)), dur)/1e6, dur.Seconds())
-	if serr == nil {
-		fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d\n",
-			sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds(), sr.Frames())
-	}
-	for _, c := range fused.Caches {
+	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d\n",
+		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames())
+	for _, c := range bank.Caches {
 		fmt.Printf("%-24v misses: %d penalized, %d allocation claims, miss ratio %.5f, collector misses %d\n",
 			c.Config(), c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio(), c.S.GCMisses())
 	}
 	return nil
-}
-
-// nullSink consumes a replayed reference stream without simulating
-// anything: `-cache none` measures pure trace-delivery throughput.
-type nullSink struct{}
-
-func (*nullSink) Ref(addr uint64, write, collector bool) {}
-func (*nullSink) RefBatch(refs []mem.Ref)                {}
-
-// sniffGzip transparently unwraps gzip-compressed captures (the pre-v2
-// gctrace wrote gzip-wrapped v1 traces) by peeking at the two-byte magic.
-func sniffGzip(f *os.File) (io.Reader, error) {
-	br := bufio.NewReaderSize(f, 1<<20)
-	head, err := br.Peek(2)
-	if err == nil && head[0] == 0x1f && head[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		return zr, nil
-	}
-	return br, nil
 }
 
 func refsPerSec(n uint64, dur time.Duration) float64 {

@@ -55,7 +55,8 @@ type (
 	// CacheBank simulates many configurations in one pass.
 	CacheBank = cache.Bank
 	// ParallelCacheBank simulates many configurations in one pass with
-	// one worker goroutine per cache; call Drain before reading stats.
+	// the fused kernel, its lanes sharded across worker goroutines; call
+	// Drain before reading stats.
 	ParallelCacheBank = cache.ParallelBank
 	// Ref is one packed data reference of the batch pipeline.
 	Ref = mem.Ref
@@ -130,15 +131,16 @@ func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
 // NewCacheBank builds one cache per configuration, fed in lockstep.
 func NewCacheBank(cfgs []CacheConfig) *CacheBank { return cache.NewBank(cfgs) }
 
-// NewParallelCacheBank builds one cache per configuration, each simulated
-// on its own goroutine over the same chunked reference stream. Statistics
-// are bitwise identical to NewCacheBank's; call Drain before reading them.
+// NewParallelCacheBank builds one cache per configuration, dealt
+// round-robin across up to GOMAXPROCS worker goroutines. Statistics are
+// bitwise identical to NewCacheBank's; call Drain before reading them.
 func NewParallelCacheBank(cfgs []CacheConfig) *ParallelCacheBank {
 	return cache.NewParallelBank(cfgs)
 }
 
-// SetParallelism bounds concurrent experiment runs and toggles the
-// parallel cache bank inside sweeps (default GOMAXPROCS; 1 = serial).
+// SetParallelism bounds concurrent experiment runs, the trace decoders of
+// a replayed sweep, and the workers a sweep's cache bank shards its
+// configurations across (default GOMAXPROCS; 1 = everything inline).
 func SetParallelism(n int) { core.SetParallelism(n) }
 
 // Parallelism returns the current experiment-parallelism bound.

@@ -414,7 +414,7 @@ func (c *Cache) AccessBatch(refs []mem.Ref) {
 		}
 	}
 	// Batch-boundary sampling: one branch per chunk, nothing per ref. A
-	// cache driven by the parallel bank has no clock; its worker stamps.
+	// cache inside a FusedBank has no clock; the bank stamps its chunks.
 	if c.snapInterval != 0 && c.snapClock != nil {
 		c.MaybeSnapshot(c.snapClock())
 	}

@@ -11,15 +11,27 @@
 // added to every lane instead of being branched on per reference per
 // config.
 //
+// A bank built with more than one worker shards its lanes round-robin
+// across worker goroutines. The producer (the VM's reference pipeline or
+// the shared trace decoder) copies each chunk once into a small recycled
+// ring and publishes it to every worker; each worker replays every chunk,
+// in publication order, against its own lanes. The producer blocks when
+// the whole ring is in flight, which bounds memory and applies back
+// pressure, and the last worker to finish a chunk returns it to the ring.
+//
 // Determinism: each lane consumes the chunk stream sequentially, in
 // order, exactly as the serial Bank's per-cache loop does, and the
 // per-chunk merge lands before any chunk-boundary snapshot is taken — so
 // final statistics and periodic snapshots are bitwise identical to the
-// serial Bank's no matter which path (serial bank, fused bank, sharded
-// parallel bank) simulated the sweep.
+// serial Bank's whether the lanes run inline or sharded across workers.
 package cache
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gcsim/internal/mem"
@@ -215,30 +227,136 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 // (RefBatch), or feed it decoded trace chunks with their clock stamps
 // (ChunkBatch, the traceio.ChunkSink contract) for replayed ones. Stats
 // and snapshots are bitwise identical to Bank's either way.
+//
+// A bank is single-producer: one goroutine feeds it. Call Drain before
+// reading any cache's Stats; on an inline bank Drain does nothing, on a
+// sharded one it is the barrier that waits for every worker. After Drain
+// a sharded bank cannot be fed again.
 type FusedBank struct {
 	Caches []*Cache
-	lanes  []fusedLane
+
+	// inline holds the lanes of an inline bank. On every bank its stage
+	// clocks are the bank's totals: a sharded bank folds its workers'
+	// clocks in at Drain.
+	inline  laneShard
+	workers []*laneShard // the worker shards of a sharded bank
+	free    chan *fusedChunk
+	wg      sync.WaitGroup
+	staged  []mem.Ref // per-ref Tracer staging (sharded banks)
+	drained bool
 
 	// clock, when set, stamps chunk-boundary snapshots on the live path
-	// (the replay path carries each frame's recorded stamp instead).
+	// (the replay path carries each frame's recorded stamp instead). It is
+	// read on the producer goroutine while the VM is paused in RefBatch,
+	// so the stamp equals what an inline read would return.
 	clock func() uint64
-
-	simNs   int64 // time in the fused simulate loops
-	mergeNs int64 // time in stat merges and snapshot checks
 }
 
-// NewFusedBank builds a fused bank with one lane per configuration. It
-// panics on an invalid configuration, like New.
-func NewFusedBank(cfgs []Config) *FusedBank {
+// fusedRing is the number of in-flight chunks of a sharded bank. Deep
+// enough to absorb skew between fast (small-cache) and slow (large-cache)
+// workers, shallow enough that the chunks stay cache-resident.
+const fusedRing = 8
+
+// fusedChunk is one published chunk of a sharded bank, shared read-only
+// by every worker.
+type fusedChunk struct {
+	refs    []mem.Ref
+	kinds   [4]uint64    // reference-kind histogram (see refKinds)
+	clockAt uint64       // snapshot stamp (0 = none)
+	pending atomic.Int32 // workers that have not finished this chunk yet
+}
+
+// laneShard is a set of lanes simulated together on one goroutine, with
+// its own stage clocks so workers never share a counter.
+type laneShard struct {
+	lanes   []fusedLane
+	in      chan *fusedChunk // nil for the inline shard
+	simNs   int64            // time in the fused simulate loops
+	mergeNs int64            // time in stat merges and snapshot checks
+	panic   any              // a worker's recovered panic, re-raised by Drain
+}
+
+// step runs one chunk through every lane of the shard, then merges each
+// lane's counters and samples its snapshot at the chunk's stamp. The
+// simulate pass and the merge pass are timed separately so sweeps can
+// report a decode/simulate/merge breakdown.
+func (s *laneShard) step(refs []mem.Ref, kinds *[4]uint64, clockAt uint64) {
+	t0 := time.Now()
+	for i := range s.lanes {
+		s.lanes[i].run(refs)
+	}
+	t1 := time.Now()
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		ln.merge(kinds)
+		ln.c.MaybeSnapshot(clockAt)
+	}
+	s.simNs += int64(t1.Sub(t0))
+	s.mergeNs += int64(time.Since(t1))
+}
+
+// NewFusedBank builds a fused bank whose lanes run inline on the
+// producer's goroutine. It panics on an invalid configuration, like New.
+func NewFusedBank(cfgs []Config) *FusedBank { return NewFusedBankWorkers(cfgs, 1) }
+
+// NewFusedBankWorkers builds a fused bank with at most n workers. When
+// min(n, len(cfgs)) > 1 the lanes are dealt round-robin across that many
+// worker goroutines, so neighboring sizes (whose simulation state
+// competes for the same host cache levels) land on different workers;
+// otherwise the lanes run inline, exactly as NewFusedBank's do.
+func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
 	b := &FusedBank{Caches: make([]*Cache, len(cfgs))}
 	for i, cfg := range cfgs {
 		b.Caches[i] = New(cfg)
 	}
-	b.lanes = make([]fusedLane, len(cfgs))
-	for i, c := range b.Caches {
-		b.lanes[i] = newFusedLane(c)
+	n = min(n, len(cfgs))
+	if n <= 1 {
+		for _, c := range b.Caches {
+			b.inline.lanes = append(b.inline.lanes, newFusedLane(c))
+		}
+		return b
+	}
+	b.free = make(chan *fusedChunk, fusedRing)
+	for i := 0; i < fusedRing; i++ {
+		b.free <- &fusedChunk{refs: make([]mem.Ref, 0, mem.ChunkRefs)}
+	}
+	for w := 0; w < n; w++ {
+		// Buffered to the ring size: a worker never holds up publication,
+		// only the free list does.
+		s := &laneShard{in: make(chan *fusedChunk, fusedRing)}
+		for i := w; i < len(cfgs); i += n {
+			s.lanes = append(s.lanes, newFusedLane(b.Caches[i]))
+		}
+		b.workers = append(b.workers, s)
+		b.wg.Add(1)
+		go b.work(s)
 	}
 	return b
+}
+
+// work replays every published chunk against one worker's shard,
+// recycling each chunk once every worker has finished with it. A panic in
+// a lane stops the shard's simulation but not its consumption of the
+// ring, so the producer never stalls; Drain re-raises it on the caller.
+func (b *FusedBank) work(s *laneShard) {
+	defer b.wg.Done()
+	for ck := range s.in {
+		if s.panic == nil {
+			s.safeStep(ck)
+		}
+		if ck.pending.Add(-1) == 0 {
+			b.free <- ck
+		}
+	}
+}
+
+func (s *laneShard) safeStep(ck *fusedChunk) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panic = fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", r, debug.Stack())
+		}
+	}()
+	s.step(ck.refs, &ck.kinds, ck.clockAt)
 }
 
 // RefBatch implements mem.BatchTracer: the live path, clocked by the
@@ -248,53 +366,99 @@ func (b *FusedBank) RefBatch(refs []mem.Ref) {
 	if b.clock != nil {
 		clockAt = b.clock()
 	}
-	b.chunk(refs, clockAt, b.clock != nil)
+	b.chunk(refs, clockAt)
 }
 
 // ChunkBatch consumes one decoded trace chunk stamped with the recorded
 // instruction clock — the replay path (traceio.ChunkSink).
 func (b *FusedBank) ChunkBatch(refs []mem.Ref, insnsAt uint64) {
-	b.chunk(refs, insnsAt, insnsAt != 0)
+	b.chunk(refs, insnsAt)
 }
 
-// chunk runs one chunk through every lane, then merges and samples. The
-// simulate pass and the merge pass are timed separately so replay sweeps
-// can report a decode/simulate/merge breakdown.
-func (b *FusedBank) chunk(refs []mem.Ref, clockAt uint64, stamped bool) {
-	if len(b.lanes) == 0 || len(refs) == 0 {
+// chunk is the one chunk path behind RefBatch and ChunkBatch: an inline
+// bank simulates the chunk on the caller; a sharded bank copies it into a
+// ring chunk (the caller reuses its buffer immediately) and publishes it
+// to every worker, blocking while the ring is exhausted.
+func (b *FusedBank) chunk(refs []mem.Ref, clockAt uint64) {
+	if len(b.Caches) == 0 || len(refs) == 0 {
 		return
 	}
 	kinds := refKinds(refs)
-	t0 := time.Now()
-	for i := range b.lanes {
-		b.lanes[i].run(refs)
+	if b.workers == nil {
+		b.inline.step(refs, &kinds, clockAt)
+		return
 	}
-	t1 := time.Now()
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		ln.merge(&kinds)
-		if stamped && ln.c.snapInterval != 0 {
-			ln.c.MaybeSnapshot(clockAt)
-		}
+	ck := <-b.free
+	ck.refs = append(ck.refs[:0], refs...)
+	ck.kinds = kinds
+	ck.clockAt = clockAt
+	ck.pending.Store(int32(len(b.workers)))
+	for _, s := range b.workers {
+		s.in <- ck
 	}
-	b.simNs += int64(t1.Sub(t0))
-	b.mergeNs += int64(time.Since(t1))
 }
 
-// Ref implements mem.Tracer for per-reference producers (e.g. legacy v1
-// trace replay); it behaves exactly like Bank.Ref.
+// Ref implements mem.Tracer for per-reference producers. An inline bank
+// behaves exactly like Bank.Ref; a sharded bank stages references into
+// chunks, published when full and at Drain.
 func (b *FusedBank) Ref(addr uint64, write, collector bool) {
-	for _, c := range b.Caches {
-		c.Access(addr, write, collector)
+	if b.workers == nil {
+		for _, c := range b.Caches {
+			c.Access(addr, write, collector)
+		}
+		return
+	}
+	if b.staged == nil {
+		b.staged = make([]mem.Ref, 0, mem.ChunkRefs)
+	}
+	b.staged = append(b.staged, mem.MakeRef(addr, write, collector))
+	if len(b.staged) == cap(b.staged) {
+		b.RefBatch(b.staged)
+		b.staged = b.staged[:0]
+	}
+}
+
+// Drain is the final barrier: it publishes any staged refs, waits for
+// every worker to finish every chunk, stops the workers, and folds their
+// stage clocks into the bank's. After Drain returns, the caches' Stats
+// are complete and safe to read from any goroutine. A panic on a worker
+// is re-raised here, on the caller's goroutine, so the caller's recovery
+// sees it as it would an inline one. Drain is idempotent and does nothing
+// on an inline bank.
+func (b *FusedBank) Drain() {
+	if b.drained || b.workers == nil {
+		return
+	}
+	b.drained = true
+	if len(b.staged) > 0 {
+		b.RefBatch(b.staged)
+		b.staged = b.staged[:0]
+	}
+	for _, s := range b.workers {
+		close(s.in)
+	}
+	b.wg.Wait()
+	for _, s := range b.workers {
+		b.inline.simNs += s.simNs
+		b.inline.mergeNs += s.mergeNs
+		if s.panic != nil {
+			panic(s.panic)
+		}
 	}
 }
 
 // SetSnapshotClock installs the instruction clock consulted once per
-// live chunk for periodic snapshots (see Cache.EnableSnapshots).
+// live chunk for periodic snapshots (see Cache.EnableSnapshots). Must be
+// set before the first reference.
 func (b *FusedBank) SetSnapshotClock(clock func() uint64) { b.clock = clock }
 
+// Workers returns the number of worker goroutines; 0 means the lanes
+// run inline on the producer.
+func (b *FusedBank) Workers() int { return len(b.workers) }
+
 // Bank returns a serial-bank view sharing this bank's caches, for code
-// that consumes *Bank results.
+// that consumes *Bank results. On a sharded bank it is valid only after
+// Drain.
 func (b *FusedBank) Bank() *Bank { return &Bank{Caches: b.Caches} }
 
 // Find returns the bank's cache with the given configuration, or nil.
@@ -309,13 +473,31 @@ func (b *FusedBank) Find(cfg Config) *Cache {
 
 // SimulateSeconds returns the cumulative wall time spent in the fused
 // simulate loops, and MergeSeconds the time in per-chunk stat merges and
-// snapshot checks. On a sharded parallel bank the per-worker times are
-// summed, so either can exceed the elapsed wall clock.
-func (b *FusedBank) SimulateSeconds() float64 { return float64(b.simNs) / 1e9 }
+// snapshot checks. A sharded bank sums its workers' clocks at Drain, so
+// read either only after Drain; the sum can exceed the elapsed wall
+// clock.
+func (b *FusedBank) SimulateSeconds() float64 { return float64(b.inline.simNs) / 1e9 }
 
 // MergeSeconds returns the cumulative wall time spent merging per-chunk
 // counters into cache Stats (see SimulateSeconds).
-func (b *FusedBank) MergeSeconds() float64 { return float64(b.mergeNs) / 1e9 }
+func (b *FusedBank) MergeSeconds() float64 { return float64(b.inline.mergeNs) / 1e9 }
+
+// ParallelBank is the former name of a sharded FusedBank.
+//
+// Deprecated: use FusedBank.
+type ParallelBank = FusedBank
+
+// NewParallelBank builds a bank sharded across GOMAXPROCS workers.
+//
+// Deprecated: use NewFusedBankWorkers.
+func NewParallelBank(cfgs []Config) *FusedBank {
+	return NewFusedBankWorkers(cfgs, runtime.GOMAXPROCS(0))
+}
+
+// NewParallelBankWorkers builds a bank sharded across at most n workers.
+//
+// Deprecated: use NewFusedBankWorkers.
+func NewParallelBankWorkers(cfgs []Config, n int) *FusedBank { return NewFusedBankWorkers(cfgs, n) }
 
 var _ mem.Tracer = (*FusedBank)(nil)
 var _ mem.BatchTracer = (*FusedBank)(nil)

@@ -1,18 +1,63 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"gcsim/internal/mem"
 )
 
+// benchBank measures refs/sec through a bank over the 8-config sweep.
+func benchBank(b *testing.B, mk func() mem.BatchTracer) {
+	stream := synthStream(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank := mk()
+		feedChunks(bank, stream)
+		if fb, ok := bank.(*FusedBank); ok {
+			fb.Drain()
+		}
+	}
+	b.StopTimer()
+	refs := float64(b.N) * float64(len(stream))
+	b.ReportMetric(refs/b.Elapsed().Seconds(), "refs/s")
+}
+
+func BenchmarkSerialBank(b *testing.B) {
+	benchBank(b, func() mem.BatchTracer { return NewBank(benchConfigs()) })
+}
+
 // BenchmarkFusedBank measures the fused single-pass sweep over the same
-// 8-configuration stream as BenchmarkSerialBank/BenchmarkParallelBank —
-// the headline tag-store lookup rate of the fused store.
+// 8-configuration stream as BenchmarkSerialBank — the headline tag-store
+// lookup rate of the fused store, lanes inline.
 func BenchmarkFusedBank(b *testing.B) {
-	benchBank(b, func() interface{ mem.BatchTracer } {
-		return NewFusedBank(benchConfigs())
-	}, nil)
+	benchBank(b, func() mem.BatchTracer { return NewFusedBank(benchConfigs()) })
+}
+
+// BenchmarkFusedBankWorkers is the same sweep with the lanes sharded
+// across GOMAXPROCS workers.
+func BenchmarkFusedBankWorkers(b *testing.B) {
+	benchBank(b, func() mem.BatchTracer {
+		return NewFusedBankWorkers(benchConfigs(), runtime.GOMAXPROCS(0))
+	})
+}
+
+// BenchmarkSerialBankPerRef is the pre-pipeline baseline: one interface
+// call per reference per bank, as mem.Memory used to issue.
+func BenchmarkSerialBankPerRef(b *testing.B) {
+	stream := synthStream(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank := NewBank(benchConfigs())
+		var tr mem.Tracer = bank
+		for _, r := range stream {
+			tr.Ref(r.Addr(), r.Write(), r.Collector())
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*float64(len(stream))/b.Elapsed().Seconds(), "refs/s")
 }
 
 // BenchmarkFusedLane measures the raw fused kernel on a single
@@ -38,12 +83,8 @@ func BenchmarkFusedBankChunkBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bank := NewFusedBank(benchConfigs())
 		var insns uint64
-		refs := stream
-		for len(refs) > 0 {
-			n := len(refs)
-			if n > mem.ChunkRefs {
-				n = mem.ChunkRefs
-			}
+		for refs := stream; len(refs) > 0; {
+			n := min(len(refs), mem.ChunkRefs)
 			insns += uint64(n)
 			bank.ChunkBatch(refs[:n], insns)
 			refs = refs[n:]

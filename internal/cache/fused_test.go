@@ -1,33 +1,141 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gcsim/internal/mem"
 )
 
+// synthStream generates a deterministic reference stream with the shape
+// the simulator actually sees: a linear allocation sweep through the
+// dynamic area, stack-top churn, a busy static cell, and periodic
+// collector-mode bursts.
+func synthStream(n int) []mem.Ref {
+	refs := make([]mem.Ref, 0, n)
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	frontier := mem.DynBase
+	for len(refs) < n {
+		switch next() % 8 {
+		case 0, 1, 2: // allocation: write fresh dynamic words
+			for i := 0; i < 4 && len(refs) < n; i++ {
+				refs = append(refs, mem.MakeRef(frontier, true, false))
+				frontier++
+			}
+		case 3, 4: // revisit recently allocated data
+			if frontier == mem.DynBase {
+				continue
+			}
+			back := next() % 4096
+			addr := frontier - 1 - back%(frontier-mem.DynBase)
+			refs = append(refs, mem.MakeRef(addr, next()%4 == 0, false))
+		case 5: // stack churn
+			refs = append(refs, mem.MakeRef(mem.StackBase+next()%256, next()%2 == 0, false))
+		case 6: // busy static cell
+			refs = append(refs, mem.MakeRef(mem.StaticBase+17, false, false))
+		default: // collector-mode burst
+			for i := 0; i < 3 && len(refs) < n; i++ {
+				refs = append(refs, mem.MakeRef(mem.DynBase+next()%(1<<20), i == 0, true))
+			}
+		}
+	}
+	return refs
+}
+
+// benchConfigs is an 8-configuration sweep (the full size range at 64-byte
+// blocks), the shape gcSweepConfigs feeds every Section 6 experiment.
+func benchConfigs() []Config {
+	var cfgs []Config
+	for _, s := range Sizes {
+		cfgs = append(cfgs, Config{SizeBytes: s, BlockBytes: 64, Policy: WriteValidate})
+	}
+	return cfgs
+}
+
+// feedChunks replays a stream through a BatchTracer in pipeline-sized
+// chunks, as Memory does.
+func feedChunks(t mem.BatchTracer, refs []mem.Ref) {
+	for len(refs) > 0 {
+		n := min(len(refs), mem.ChunkRefs)
+		t.RefBatch(refs[:n])
+		refs = refs[n:]
+	}
+}
+
+// feeds are the bank's two chunk entry points, which share one chunk
+// path: RefBatch (live) and ChunkBatch (replay, unstamped here).
+var feeds = []struct {
+	name string
+	feed func(b *FusedBank, refs []mem.Ref)
+}{
+	{"RefBatch", func(b *FusedBank, refs []mem.Ref) { feedChunks(b, refs) }},
+	{"ChunkBatch", func(b *FusedBank, refs []mem.Ref) {
+		for len(refs) > 0 {
+			n := min(len(refs), mem.ChunkRefs)
+			b.ChunkBatch(refs[:n], 0)
+			refs = refs[n:]
+		}
+	}},
+}
+
+// workerCounts are the shard sizes every sharding test runs: inline, the
+// smallest sharded pools, one worker per lane, and an oversized request.
+func workerCounts(cfgs []Config) []int { return []int{1, 2, 3, len(cfgs), len(cfgs) + 5} }
+
+func sameStats(t *testing.T, want, got []*Cache) {
+	t.Helper()
+	for i, sc := range want {
+		if fc := got[i]; sc.S != fc.S {
+			t.Errorf("config %v: serial stats %+v != fused stats %+v", sc.Config(), sc.S, fc.S)
+		}
+	}
+}
+
 // TestFusedBankMatchesSerialBank is the golden equivalence check for the
 // fused kernel: every configuration of a mixed write-validate /
 // fetch-on-write sweep must accumulate bitwise-identical Stats whether the
-// stream runs through the serial Bank or the fused single-pass loop.
+// stream runs through the serial Bank or the fused single-pass loop, with
+// the lanes inline or sharded across any number of workers, fed through
+// either chunk entry point.
 func TestFusedBankMatchesSerialBank(t *testing.T) {
 	stream := synthStream(300_000)
 	cfgs := append(SweepConfigs(WriteValidate), SweepConfigs(FetchOnWrite)...)
 
 	serial := NewBank(cfgs)
 	feedChunks(serial, stream)
-
-	fused := NewFusedBank(cfgs)
-	feedChunks(fused, stream)
-
-	for i, sc := range serial.Caches {
-		fc := fused.Caches[i]
-		if sc.S != fc.S {
-			t.Errorf("config %v: serial stats %+v != fused stats %+v",
-				sc.Config(), sc.S, fc.S)
-		}
+	for _, sc := range serial.Caches {
 		if sc.S.Misses() == 0 {
-			t.Errorf("config %v: no misses; equivalence is vacuous", sc.Config())
+			t.Fatalf("config %v: no misses; equivalence is vacuous", sc.Config())
+		}
+	}
+
+	for _, n := range workerCounts(cfgs) {
+		for _, f := range feeds {
+			t.Run(fmt.Sprintf("workers=%d/%s", n, f.name), func(t *testing.T) {
+				fused := NewFusedBankWorkers(cfgs, n)
+				// The pool never outnumbers the lanes; a pool of one runs inline.
+				want := min(n, len(cfgs))
+				if want == 1 {
+					want = 0
+				}
+				if fused.Workers() != want {
+					t.Fatalf("pool has %d workers, want %d", fused.Workers(), want)
+				}
+				f.feed(fused, stream)
+				fused.Drain()
+				sameStats(t, serial.Caches, fused.Caches)
+				// A sharded bank's worker clocks reach the bank at Drain.
+				if fused.SimulateSeconds() <= 0 || fused.MergeSeconds() <= 0 {
+					t.Errorf("stage clocks simulate=%v merge=%v, want both > 0", fused.SimulateSeconds(), fused.MergeSeconds())
+				}
+			})
 		}
 	}
 }
@@ -48,17 +156,31 @@ func TestFusedBankBlockSizes(t *testing.T) {
 	feedChunks(serial, stream)
 	fused := NewFusedBank(cfgs)
 	feedChunks(fused, stream)
+	sameStats(t, serial.Caches, fused.Caches)
+}
 
-	for i, sc := range serial.Caches {
-		if fc := fused.Caches[i]; sc.S != fc.S {
-			t.Errorf("config %v: serial %+v != fused %+v", sc.Config(), sc.S, fc.S)
+// sameSnapshots requires identical snapshot sequences — stamps and
+// sampled stats — cache by cache.
+func sameSnapshots(t *testing.T, want, got []*Cache) {
+	t.Helper()
+	for i, sc := range want {
+		ss, fs := sc.Snapshots(), got[i].Snapshots()
+		if len(ss) == 0 || len(ss) != len(fs) {
+			t.Fatalf("config %v: %d serial snapshots vs %d fused", sc.Config(), len(ss), len(fs))
+		}
+		for j := range ss {
+			if ss[j] != fs[j] {
+				t.Fatalf("config %v snapshot %d: serial %+v != fused %+v", sc.Config(), j, ss[j], fs[j])
+			}
 		}
 	}
 }
 
 // TestFusedBankSnapshotsMatchSerial drives both banks with the same
-// instruction clock and requires identical snapshot sequences — stamps and
-// sampled stats — since replayed telemetry depends on it.
+// instruction clock and requires identical snapshot sequences, since
+// replayed telemetry depends on it. A sharded bank reads the clock on the
+// producer as the chunk is published, so its workers sample exactly
+// where the inline bank does.
 func TestFusedBankSnapshotsMatchSerial(t *testing.T) {
 	stream := synthStream(250_000)
 	cfgs := benchConfigs()
@@ -74,10 +196,7 @@ func TestFusedBankSnapshotsMatchSerial(t *testing.T) {
 		}
 		refs := stream
 		for len(refs) > 0 {
-			n := len(refs)
-			if n > mem.ChunkRefs {
-				n = mem.ChunkRefs
-			}
+			n := min(len(refs), mem.ChunkRefs)
 			// The synthetic "machine" retires 3 instructions per reference.
 			insns += uint64(3 * n)
 			bank.RefBatch(refs[:n])
@@ -87,31 +206,17 @@ func TestFusedBankSnapshotsMatchSerial(t *testing.T) {
 
 	serial := NewBank(cfgs)
 	run(serial, serial.Caches)
-	fused := NewFusedBank(cfgs)
-	run(fused, fused.Caches)
-
-	for i, sc := range serial.Caches {
-		fc := fused.Caches[i]
-		ss, fs := sc.Snapshots(), fc.Snapshots()
-		if len(ss) == 0 {
-			t.Fatalf("config %v: no snapshots recorded", sc.Config())
-		}
-		if len(ss) != len(fs) {
-			t.Fatalf("config %v: %d serial snapshots vs %d fused",
-				sc.Config(), len(ss), len(fs))
-		}
-		for j := range ss {
-			if ss[j] != fs[j] {
-				t.Fatalf("config %v snapshot %d: serial %+v != fused %+v",
-					sc.Config(), j, ss[j], fs[j])
-			}
-		}
+	for _, n := range workerCounts(cfgs) {
+		fused := NewFusedBankWorkers(cfgs, n)
+		run(fused, fused.Caches)
+		fused.Drain()
+		sameSnapshots(t, serial.Caches, fused.Caches)
 	}
 }
 
 // TestFusedBankChunkBatchStamps feeds pre-stamped chunks (the replay path)
-// and checks snapshots land exactly where a stamped parallel-bank worker
-// would put them.
+// and checks snapshots land exactly where a clocked serial bank puts
+// them, inline and sharded.
 func TestFusedBankChunkBatchStamps(t *testing.T) {
 	stream := synthStream(200_000)
 	cfgs := benchConfigs()
@@ -122,44 +227,35 @@ func TestFusedBankChunkBatchStamps(t *testing.T) {
 	for _, c := range want.Caches {
 		c.EnableSnapshots(8_192)
 	}
-	fused := NewFusedBank(cfgs)
-	for _, c := range fused.Caches {
-		c.EnableSnapshots(8_192)
-	}
-
-	refs := stream
-	for len(refs) > 0 {
-		n := len(refs)
-		if n > mem.ChunkRefs {
-			n = mem.ChunkRefs
-		}
+	for refs := stream; len(refs) > 0; {
+		n := min(len(refs), mem.ChunkRefs)
 		insns += uint64(2 * n)
 		want.RefBatch(refs[:n])
-		fused.ChunkBatch(refs[:n], insns)
 		refs = refs[n:]
 	}
 
-	for i, sc := range want.Caches {
-		fc := fused.Caches[i]
-		if sc.S != fc.S {
-			t.Errorf("config %v: stats diverge: %+v != %+v", sc.Config(), sc.S, fc.S)
+	for _, w := range workerCounts(cfgs) {
+		fused := NewFusedBankWorkers(cfgs, w)
+		for _, c := range fused.Caches {
+			c.EnableSnapshots(8_192)
 		}
-		ss, fs := sc.Snapshots(), fc.Snapshots()
-		if len(ss) == 0 || len(ss) != len(fs) {
-			t.Fatalf("config %v: %d serial snapshots vs %d fused", sc.Config(), len(ss), len(fs))
+		var stamp uint64
+		for refs := stream; len(refs) > 0; {
+			n := min(len(refs), mem.ChunkRefs)
+			stamp += uint64(2 * n)
+			fused.ChunkBatch(refs[:n], stamp)
+			refs = refs[n:]
 		}
-		for j := range ss {
-			if ss[j] != fs[j] {
-				t.Fatalf("config %v snapshot %d: %+v != %+v", sc.Config(), j, ss[j], fs[j])
-			}
-		}
+		fused.Drain()
+		sameStats(t, want.Caches, fused.Caches)
+		sameSnapshots(t, want.Caches, fused.Caches)
 	}
 }
 
 // TestFusedBankInstrumentedLane checks that a lane with live hooks takes
 // the instrumented path inside the fused bank: identical miss events and
 // per-block counters to the serial cache, while uninstrumented lanes stay
-// fused.
+// fused — including when the hook runs on a worker goroutine.
 func TestFusedBankInstrumentedLane(t *testing.T) {
 	stream := synthStream(50_000)
 	cfg := Config{SizeBytes: 32 << 10, BlockBytes: 64, Policy: WriteValidate}
@@ -170,37 +266,44 @@ func TestFusedBankInstrumentedLane(t *testing.T) {
 	serial.Caches[0].OnMiss(func(e MissEvent) { wantEvents = append(wantEvents, e) })
 	serial.Caches[0].EnableBlockStats()
 	feedChunks(serial, stream)
-
-	fused := NewFusedBank(cfgs)
-	var gotEvents []MissEvent
-	fused.Caches[0].OnMiss(func(e MissEvent) { gotEvents = append(gotEvents, e) })
-	fused.Caches[0].EnableBlockStats()
-	feedChunks(fused, stream)
-
-	if len(wantEvents) == 0 || len(wantEvents) != len(gotEvents) {
-		t.Fatalf("%d serial events vs %d fused", len(wantEvents), len(gotEvents))
-	}
-	for i := range wantEvents {
-		if wantEvents[i] != gotEvents[i] {
-			t.Fatalf("event %d: serial %+v != fused %+v", i, wantEvents[i], gotEvents[i])
-		}
+	if len(wantEvents) == 0 {
+		t.Fatal("no serial miss events recorded")
 	}
 	wantRefs, wantMisses := serial.Caches[0].BlockStats()
-	gotRefs, gotMisses := fused.Caches[0].BlockStats()
-	for i := range wantRefs {
-		if wantRefs[i] != gotRefs[i] || wantMisses[i] != gotMisses[i] {
-			t.Fatalf("block %d: serial (%d,%d) != fused (%d,%d)",
-				i, wantRefs[i], wantMisses[i], gotRefs[i], gotMisses[i])
-		}
-	}
-	for i, sc := range serial.Caches {
-		if fc := fused.Caches[i]; sc.S != fc.S {
-			t.Errorf("config %v: serial %+v != fused %+v", sc.Config(), sc.S, fc.S)
+
+	for _, n := range workerCounts(cfgs) {
+		for _, f := range feeds {
+			fused := NewFusedBankWorkers(cfgs, n)
+			var gotEvents []MissEvent
+			// On a sharded bank the hook runs on the cache's worker; the
+			// slice is touched by no one else until Drain.
+			fused.Caches[0].OnMiss(func(e MissEvent) { gotEvents = append(gotEvents, e) })
+			fused.Caches[0].EnableBlockStats()
+			f.feed(fused, stream)
+			fused.Drain()
+
+			if len(wantEvents) != len(gotEvents) {
+				t.Fatalf("workers=%d %s: %d serial events vs %d fused", n, f.name, len(wantEvents), len(gotEvents))
+			}
+			for i := range wantEvents {
+				if wantEvents[i] != gotEvents[i] {
+					t.Fatalf("workers=%d %s event %d: serial %+v != fused %+v", n, f.name, i, wantEvents[i], gotEvents[i])
+				}
+			}
+			gotRefs, gotMisses := fused.Caches[0].BlockStats()
+			for i := range wantRefs {
+				if wantRefs[i] != gotRefs[i] || wantMisses[i] != gotMisses[i] {
+					t.Fatalf("workers=%d %s block %d: serial (%d,%d) != fused (%d,%d)",
+						n, f.name, i, wantRefs[i], wantMisses[i], gotRefs[i], gotMisses[i])
+				}
+			}
+			sameStats(t, serial.Caches, fused.Caches)
 		}
 	}
 }
 
-// TestFusedBankPerRefTracer exercises the mem.Tracer fallback.
+// TestFusedBankPerRefTracer exercises the mem.Tracer fallback: direct
+// per-cache accesses inline, staged chunks when sharded.
 func TestFusedBankPerRefTracer(t *testing.T) {
 	stream := synthStream(10_000)
 	cfgs := benchConfigs()
@@ -209,38 +312,59 @@ func TestFusedBankPerRefTracer(t *testing.T) {
 	for _, r := range stream {
 		serial.Ref(r.Addr(), r.Write(), r.Collector())
 	}
-	fused := NewFusedBank(cfgs)
-	for _, r := range stream {
-		fused.Ref(r.Addr(), r.Write(), r.Collector())
+	for _, n := range workerCounts(cfgs) {
+		fused := NewFusedBankWorkers(cfgs, n)
+		for _, r := range stream {
+			fused.Ref(r.Addr(), r.Write(), r.Collector())
+		}
+		fused.Drain()
+		sameStats(t, serial.Caches, fused.Caches)
 	}
-	for i, sc := range serial.Caches {
-		if fc := fused.Caches[i]; sc.S != fc.S {
-			t.Errorf("config %v: serial %+v != fused %+v", sc.Config(), sc.S, fc.S)
+}
+
+// TestFusedBankEmpty covers the degenerate shapes: no configs, empty
+// chunks and an unfed bank, none of which may panic, deadlock, leak a
+// chunk or record anything; Drain is idempotent on all of them.
+func TestFusedBankEmpty(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		empty := NewFusedBankWorkers(nil, n)
+		empty.RefBatch(synthStream(10))
+		empty.ChunkBatch(nil, 42)
+		empty.Drain()
+		empty.Drain()
+
+		bank := NewFusedBankWorkers(benchConfigs(), n)
+		bank.RefBatch(nil)
+		bank.Drain()
+		bank.Drain()
+		for _, c := range bank.Caches {
+			if c.S != (Stats{}) {
+				t.Errorf("workers=%d: empty input accumulated stats: %+v", n, c.S)
+			}
+		}
+		if bank.Find(benchConfigs()[0]) == nil {
+			t.Error("Find failed on a bank config")
+		}
+		if bank.Find(Config{SizeBytes: 1 << 10, BlockBytes: 16}) != nil {
+			t.Error("Find matched a config the bank does not hold")
+		}
+		if bank.Bank() == nil || len(bank.Bank().Caches) != len(bank.Caches) {
+			t.Error("Bank() view does not share the caches")
 		}
 	}
 }
 
-// TestFusedBankEmpty covers the degenerate shapes: no configs, and empty
-// chunks, neither of which may panic or record anything.
-func TestFusedBankEmpty(t *testing.T) {
-	empty := NewFusedBank(nil)
-	empty.RefBatch(synthStream(10))
-	empty.ChunkBatch(nil, 42)
-
-	bank := NewFusedBank(benchConfigs())
-	bank.RefBatch(nil)
-	for _, c := range bank.Caches {
-		if c.S != (Stats{}) {
-			t.Errorf("empty input accumulated stats: %+v", c.S)
+// TestFusedBankWorkerPanicReachesDrain: a panic in a worker's lane must
+// not kill the process or stall the producer; Drain re-raises it on the
+// caller's goroutine.
+func TestFusedBankWorkerPanicReachesDrain(t *testing.T) {
+	bank := NewFusedBankWorkers(benchConfigs(), 2)
+	bank.Caches[1].OnMiss(func(MissEvent) { panic("lane boom") })
+	feedChunks(bank, synthStream(20*mem.ChunkRefs)) // more chunks than the ring holds
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "lane boom") {
+			t.Fatalf("Drain recovered %v, want the worker's panic", r)
 		}
-	}
-	if bank.Find(benchConfigs()[0]) == nil {
-		t.Error("Find failed on a bank config")
-	}
-	if bank.Find(Config{SizeBytes: 1 << 10, BlockBytes: 16}) != nil {
-		t.Error("Find matched a config the bank does not hold")
-	}
-	if bank.Bank() == nil || len(bank.Bank().Caches) != len(bank.Caches) {
-		t.Error("Bank() view does not share the caches")
-	}
+	}()
+	bank.Drain()
 }

@@ -1,74 +1,10 @@
 package cache
 
-import (
-	"testing"
+import "testing"
 
-	"gcsim/internal/mem"
-)
-
-// synthStream generates a deterministic reference stream with the shape
-// the simulator actually sees: a linear allocation sweep through the
-// dynamic area, stack-top churn, a busy static cell, and periodic
-// collector-mode bursts.
-func synthStream(n int) []mem.Ref {
-	refs := make([]mem.Ref, 0, n)
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	frontier := mem.DynBase
-	for len(refs) < n {
-		switch next() % 8 {
-		case 0, 1, 2: // allocation: write fresh dynamic words
-			for i := 0; i < 4 && len(refs) < n; i++ {
-				refs = append(refs, mem.MakeRef(frontier, true, false))
-				frontier++
-			}
-		case 3, 4: // revisit recently allocated data
-			if frontier == mem.DynBase {
-				continue
-			}
-			back := next() % 4096
-			addr := frontier - 1 - back%(frontier-mem.DynBase)
-			refs = append(refs, mem.MakeRef(addr, next()%4 == 0, false))
-		case 5: // stack churn
-			refs = append(refs, mem.MakeRef(mem.StackBase+next()%256, next()%2 == 0, false))
-		case 6: // busy static cell
-			refs = append(refs, mem.MakeRef(mem.StaticBase+17, false, false))
-		default: // collector-mode burst
-			for i := 0; i < 3 && len(refs) < n; i++ {
-				refs = append(refs, mem.MakeRef(mem.DynBase+next()%(1<<20), i == 0, true))
-			}
-		}
-	}
-	return refs
-}
-
-// benchConfigs is an 8-configuration sweep (the full size range at 64-byte
-// blocks), the shape gcSweepConfigs feeds every Section 6 experiment.
-func benchConfigs() []Config {
-	var cfgs []Config
-	for _, s := range Sizes {
-		cfgs = append(cfgs, Config{SizeBytes: s, BlockBytes: 64, Policy: WriteValidate})
-	}
-	return cfgs
-}
-
-// feedChunks replays a stream through a BatchTracer in pipeline-sized
-// chunks, as Memory does.
-func feedChunks(t mem.BatchTracer, refs []mem.Ref) {
-	for len(refs) > 0 {
-		n := len(refs)
-		if n > mem.ChunkRefs {
-			n = mem.ChunkRefs
-		}
-		t.RefBatch(refs[:n])
-		refs = refs[n:]
-	}
-}
+// These tests drive the deprecated ParallelBank names (NewParallelBank,
+// NewParallelBankWorkers), which gcsim.go and the benchmark harness still
+// use, so the aliases keep the behavior the sharded FusedBank guarantees.
 
 func TestParallelBankMatchesSerialBank(t *testing.T) {
 	stream := synthStream(300_000)
@@ -92,7 +28,8 @@ func TestParallelBankMatchesSerialBank(t *testing.T) {
 
 // TestParallelBankWorkerSharding pins the core-scaled scheduling: any
 // worker-pool size must shard the configurations without changing a single
-// counter, and the pool must never exceed the configuration count.
+// counter, and the pool must never exceed the configuration count. A pool
+// of one runs inline on the producer and reports zero workers.
 func TestParallelBankWorkerSharding(t *testing.T) {
 	stream := synthStream(200_000)
 	cfgs := append(SweepConfigs(WriteValidate), SweepConfigs(FetchOnWrite)...)
@@ -102,7 +39,11 @@ func TestParallelBankWorkerSharding(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3, len(cfgs), len(cfgs) + 5} {
 		par := NewParallelBankWorkers(cfgs, n)
-		if want := min(n, len(cfgs)); par.Workers() != want {
+		want := min(n, len(cfgs))
+		if want == 1 {
+			want = 0
+		}
+		if par.Workers() != want {
 			t.Fatalf("workers=%d: pool has %d workers, want %d", n, par.Workers(), want)
 		}
 		feedChunks(par, stream)
@@ -192,68 +133,4 @@ func TestParallelBankDrainIdempotentAndEmpty(t *testing.T) {
 	empty := NewParallelBank(nil)
 	empty.RefBatch(synthStream(10))
 	empty.Drain()
-}
-
-func TestAccessBatchMatchesAccess(t *testing.T) {
-	stream := synthStream(100_000)
-	one := New(Config{SizeBytes: 64 << 10, BlockBytes: 64, Policy: WriteValidate})
-	for _, r := range stream {
-		one.Access(r.Addr(), r.Write(), r.Collector())
-	}
-	batched := New(Config{SizeBytes: 64 << 10, BlockBytes: 64, Policy: WriteValidate})
-	feedChunks(batched, stream)
-	if one.S != batched.S {
-		t.Fatalf("per-ref stats %+v != batched stats %+v", one.S, batched.S)
-	}
-	if one.S.Misses() == 0 || one.S.Writebacks == 0 {
-		t.Fatal("stream exercised no misses/writebacks; test is vacuous")
-	}
-}
-
-// benchBank measures refs/sec through a bank over the 8-config sweep.
-func benchBank(b *testing.B, mk func() interface {
-	mem.BatchTracer
-}, drain func(t mem.BatchTracer)) {
-	stream := synthStream(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank := mk()
-		feedChunks(bank, stream)
-		if drain != nil {
-			drain(bank)
-		}
-	}
-	b.StopTimer()
-	refs := float64(b.N) * float64(len(stream))
-	b.ReportMetric(refs/b.Elapsed().Seconds(), "refs/s")
-}
-
-func BenchmarkSerialBank(b *testing.B) {
-	benchBank(b, func() interface{ mem.BatchTracer } {
-		return NewBank(benchConfigs())
-	}, nil)
-}
-
-func BenchmarkParallelBank(b *testing.B) {
-	benchBank(b, func() interface{ mem.BatchTracer } {
-		return NewParallelBank(benchConfigs())
-	}, func(t mem.BatchTracer) { t.(*ParallelBank).Drain() })
-}
-
-// BenchmarkSerialBankPerRef is the pre-pipeline baseline: one interface
-// call per reference per bank, as mem.Memory used to issue.
-func BenchmarkSerialBankPerRef(b *testing.B) {
-	stream := synthStream(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank := NewBank(benchConfigs())
-		var tr mem.Tracer = bank
-		for _, r := range stream {
-			tr.Ref(r.Addr(), r.Write(), r.Collector())
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(len(stream))/b.Elapsed().Seconds(), "refs/s")
 }

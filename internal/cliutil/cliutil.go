@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gcsim/internal/cache"
 )
 
 // ParseSize parses a byte size in the paper's notation: a plain number,
@@ -52,4 +54,46 @@ func ParseIntList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// ParseConfigs expands the comma-separated size/block/policy lists into
+// the cross product of cache configurations, in list order (policy, then
+// size, then block). The policy list may also be "both".
+func ParseConfigs(sizes, blocks, policies string) ([]cache.Config, error) {
+	sizeList, err := ParseSizeList(sizes)
+	if err != nil {
+		return nil, err
+	}
+	blockList, err := ParseIntList(blocks)
+	if err != nil {
+		return nil, err
+	}
+	var polList []cache.WritePolicy
+	if policies == "both" {
+		polList = []cache.WritePolicy{cache.WriteValidate, cache.FetchOnWrite}
+	} else {
+		for _, p := range strings.Split(policies, ",") {
+			switch strings.TrimSpace(p) {
+			case "write-validate":
+				polList = append(polList, cache.WriteValidate)
+			case "fetch-on-write":
+				polList = append(polList, cache.FetchOnWrite)
+			default:
+				return nil, fmt.Errorf("unknown policy %q", p)
+			}
+		}
+	}
+	var cfgs []cache.Config
+	for _, pol := range polList {
+		for _, size := range sizeList {
+			for _, block := range blockList {
+				cfg := cache.Config{SizeBytes: size, BlockBytes: block, Policy: pol}
+				if err := cfg.Validate(); err != nil {
+					return nil, err
+				}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	return cfgs, nil
 }

@@ -20,9 +20,10 @@ var parallelism atomic.Int32
 
 func init() { parallelism.Store(int32(runtime.GOMAXPROCS(0))) }
 
-// SetParallelism bounds the number of concurrently executing runs and
-// enables (n > 1) or disables (n <= 1) the parallel cache bank inside
-// multi-configuration sweeps. CLIs plumb their -parallel flag here.
+// SetParallelism bounds the number of concurrently executing runs, the
+// frame decoders of a replayed sweep, and the workers a sweep's cache bank
+// shards its configurations across (n <= 1 keeps the lanes inline). CLIs
+// plumb their -parallel flag here.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1

@@ -15,16 +15,17 @@ import (
 )
 
 // goldenConfigs is an 8-configuration sweep, the acceptance shape for
-// serial/parallel equivalence.
+// serial/sharded equivalence.
 func goldenConfigs() []cache.Config {
 	return gcSweepConfigs()
 }
 
-// TestParallelBankGoldenEquivalence runs a real workload (with a real
+// TestFusedBankWorkersGoldenEquivalence runs a real workload (with a real
 // collector, so collector-mode references flow through the pipeline too)
-// against the serial bank and the parallel bank, and requires bitwise
-// identical Stats and identical MissEvent sequences for every cache.
-func TestParallelBankGoldenEquivalence(t *testing.T) {
+// against the serial bank and a fused bank sharded across workers, and
+// requires bitwise identical Stats and identical MissEvent sequences for
+// every cache.
+func TestFusedBankWorkersGoldenEquivalence(t *testing.T) {
 	w, err := workloads.ByName("tc")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,6 @@ func TestParallelBankGoldenEquivalence(t *testing.T) {
 	serial := cache.NewBank(cfgs)
 	serialEvents := make([][]cache.MissEvent, len(cfgs))
 	for i, c := range serial.Caches {
-		i := i
 		c.OnMiss(func(e cache.MissEvent) { serialEvents[i] = append(serialEvents[i], e) })
 	}
 	sRun, err := Run(context.Background(), RunSpec{Workload: w, Scale: w.SmallScale,
@@ -46,10 +46,9 @@ func TestParallelBankGoldenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par := cache.NewParallelBank(cfgs)
+	par := cache.NewFusedBankWorkers(cfgs, 3)
 	parEvents := make([][]cache.MissEvent, len(cfgs))
 	for i, c := range par.Caches {
-		i := i
 		// Runs on cache i's worker goroutine; read only after Drain.
 		c.OnMiss(func(e cache.MissEvent) { parEvents[i] = append(parEvents[i], e) })
 	}
@@ -67,14 +66,14 @@ func TestParallelBankGoldenEquivalence(t *testing.T) {
 	for i, sc := range serial.Caches {
 		pc := par.Caches[i]
 		if sc.S != pc.S {
-			t.Errorf("config %v: serial stats != parallel stats\n  serial:   %+v\n  parallel: %+v",
+			t.Errorf("config %v: serial stats != sharded stats\n  serial:  %+v\n  sharded: %+v",
 				sc.Config(), sc.S, pc.S)
 		}
 		if sc.S.Misses() == 0 {
 			t.Errorf("config %v saw no misses; equivalence is vacuous", sc.Config())
 		}
 		if len(serialEvents[i]) != len(parEvents[i]) {
-			t.Errorf("config %v: %d serial miss events vs %d parallel",
+			t.Errorf("config %v: %d serial miss events vs %d sharded",
 				sc.Config(), len(serialEvents[i]), len(parEvents[i]))
 			continue
 		}
@@ -89,7 +88,7 @@ func TestParallelBankGoldenEquivalence(t *testing.T) {
 }
 
 // TestRunSweepParallelMatchesSerial checks that RunSweep produces the
-// same statistics whether the parallel pipeline is enabled or not.
+// same statistics whether the bank's lanes run inline or sharded.
 func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	w, err := workloads.ByName("prover")
 	if err != nil {

@@ -258,10 +258,9 @@ type SweepResult struct {
 // configuration, simulated by the fused single-pass kernel: each chunk of
 // the reference stream is simulated against every configuration with no
 // per-ref dispatch. With parallelism > 1 and more than one configuration,
-// the sweep uses the parallel cache bank — configurations sharded across
-// core-scaled workers consuming the same chunked reference stream — which
-// produces bitwise-identical statistics to the serial bank (each cache
-// still consumes the stream sequentially and in order).
+// the bank shards its lanes across that many workers consuming the same
+// chunked reference stream, which produces bitwise-identical statistics
+// (each cache still consumes the stream sequentially and in order).
 func RunSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
 	return runSweepWith(ctx, ActiveTraceCache(), w, scale, col, cfgs)
 }
@@ -272,52 +271,42 @@ func runSweepWith(ctx context.Context, tc *TraceCache, w *workloads.Workload, sc
 	if tc != nil {
 		return tc.runSweep(ctx, w, scale, col, cfgs)
 	}
-	var (
-		bank   *cache.Bank
-		fused  *cache.FusedBank
-		tracer mem.Tracer
-		par    *cache.ParallelBank
-	)
-	if Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		fused = cache.NewFusedBank(cfgs)
-		tracer = fused
-		bank = fused.Bank()
-	}
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col, Tracer: tracer}
+	return sweep(cfgs, func(bank *cache.FusedBank) (*RunResult, error) {
+		return Run(ctx, RunSpec{
+			Workload:  w,
+			Scale:     scale,
+			Collector: col,
+			Tracer:    bank,
+			// Snapshots are clocked by the machine's instruction counter,
+			// read as the (paused) machine publishes each chunk.
+			OnMachine: func(m *vm.Machine) { bank.SetSnapshotClock(m.Insns) },
+		})
+	})
+}
+
+// sweep is the one sweep path every reference source shares — the VM on
+// the live path, the shared trace decoder on the replay path. It builds
+// the bank (lanes sharded across Parallelism() workers), arms snapshots,
+// lets feed drive the stream into the bank, and drains the bank on every
+// path before any statistic is read. feed returns the run, which on
+// failure may be partial and carry a record. Every record gets per-cache
+// results; a completed one also gets a closing snapshot sample and the
+// snapshot overhead.
+func sweep(cfgs []cache.Config, feed func(*cache.FusedBank) (*RunResult, error)) (*SweepResult, error) {
+	bank := cache.NewFusedBankWorkers(cfgs, Parallelism())
+	defer bank.Drain() // stops the workers even if feed panics
 	sess := TelemetrySession()
-	if sess != nil && sess.SnapshotInsns > 0 {
-		var caches []*cache.Cache
-		if par != nil {
-			caches = par.Caches
-		} else {
-			caches = bank.Caches
-		}
-		for _, c := range caches {
+	snapshots := sess != nil && sess.SnapshotInsns > 0
+	if snapshots {
+		for _, c := range bank.Caches {
 			c.EnableSnapshots(sess.SnapshotInsns)
 		}
-		// Snapshots are clocked by the machine's instruction counter. The
-		// fused bank reads it at chunk boundaries; the parallel bank stamps
-		// each chunk as the (paused) machine publishes it, so both see the
-		// same per-chunk values and record identical snapshots.
-		spec.OnMachine = func(m *vm.Machine) {
-			if par != nil {
-				par.SetSnapshotClock(m.Insns)
-				return
-			}
-			fused.SetSnapshotClock(m.Insns)
-		}
 	}
-	run, err := Run(ctx, spec)
-	if par != nil {
-		par.Drain() // final barrier, also on error paths
-		bank = par.Bank()
-	}
+	run, err := feed(bank)
+	bank.Drain() // final barrier, also on error paths
 	if err != nil {
-		// An interrupted run's partial record still gets its cache results:
-		// the bank has consumed every reference the machine issued, so the
+		// A failed or interrupted run's partial record still gets its cache
+		// results: the bank has consumed every reference delivered, so the
 		// statistics are exact for the truncated reference stream.
 		if run != nil && run.Record != nil {
 			for _, c := range bank.Caches {
@@ -326,42 +315,35 @@ func runSweepWith(ctx context.Context, tc *TraceCache, w *workloads.Workload, sc
 		}
 		return nil, err
 	}
-	return finishSweep(run, bank, cfgs, sess), nil
-}
 
-// finishSweep assembles a SweepResult from a completed run and its bank,
-// attaching per-cache records (with a closing snapshot sample) and folding
-// snapshot overhead into the run's telemetry record. Shared by the live
-// path above and the trace-replay path (tracecache.go).
-func finishSweep(run *RunResult, bank *cache.Bank, cfgs []cache.Config, sess *telemetry.Session) *SweepResult {
-	out := &SweepResult{Run: run, Bank: bank, Stats: map[cache.Config]cache.Stats{}}
+	out := &SweepResult{Run: run, Bank: bank.Bank(), Stats: map[cache.Config]cache.Stats{}}
 	for _, c := range bank.Caches {
 		out.Stats[c.Config()] = c.S
 	}
-	if rec := run.Record; rec != nil {
-		for _, cfg := range cfgs {
-			rec.CompletedConfigs = append(rec.CompletedConfigs, cfg.String())
-		}
-		var snapCount uint64
-		var snapNs int64
-		for _, c := range bank.Caches {
-			if sess != nil && sess.SnapshotInsns > 0 {
-				c.TakeSnapshot(run.Insns) // closing sample at end of run
-			}
-			rec.Caches = append(rec.Caches, telemetry.CacheRecordOf(c, run.Insns))
-			snapCount += uint64(len(c.Snapshots()))
-			snapNs += int64(c.SnapshotOverhead())
-		}
-		if sess != nil {
-			rec.SnapshotIntervalInsns = sess.SnapshotInsns
-		}
-		rec.Telemetry.Snapshots = snapCount
-		rec.Telemetry.OverheadSeconds += float64(snapNs) / 1e9
-		if rec.DurationSeconds > 0 {
-			rec.Telemetry.OverheadFraction = rec.Telemetry.OverheadSeconds / rec.DurationSeconds
-		}
+	rec := run.Record
+	if rec == nil {
+		return out, nil
 	}
-	return out
+	for _, cfg := range cfgs {
+		rec.CompletedConfigs = append(rec.CompletedConfigs, cfg.String())
+	}
+	var snapNs int64
+	for _, c := range bank.Caches {
+		if snapshots {
+			c.TakeSnapshot(run.Insns) // closing sample at end of run
+		}
+		rec.Caches = append(rec.Caches, telemetry.CacheRecordOf(c, run.Insns))
+		rec.Telemetry.Snapshots += uint64(len(c.Snapshots()))
+		snapNs += int64(c.SnapshotOverhead())
+	}
+	if sess != nil {
+		rec.SnapshotIntervalInsns = sess.SnapshotInsns
+	}
+	rec.Telemetry.OverheadSeconds += float64(snapNs) / 1e9
+	if rec.DurationSeconds > 0 {
+		rec.Telemetry.OverheadFraction = rec.Telemetry.OverheadSeconds / rec.DurationSeconds
+	}
+	return out, nil
 }
 
 // CacheOverhead computes O_cache for one configuration of a sweep.

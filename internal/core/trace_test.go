@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -34,8 +35,8 @@ func setParallelismForTest(t *testing.T, n int) {
 
 // Golden equivalence: a sweep driven by a recorded-then-replayed trace
 // must be indistinguishable from a live sweep — bitwise-identical cache
-// statistics and identical run-level results — for both the serial bank
-// (parallelism 1) and the parallel bank.
+// statistics and identical run-level results — with the bank inline
+// (parallelism 1) and sharded.
 func TestTraceCacheSweepMatchesLive(t *testing.T) {
 	w, err := workloads.ByName("tc")
 	if err != nil {
@@ -132,9 +133,8 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := gcSweepConfigs()[:2]
-	setParallelismForTest(t, 1)
 
-	record := func() []*telemetry.RunRecord {
+	record := func(t *testing.T) []*telemetry.RunRecord {
 		sess := telemetry.NewSession("test", 1)
 		sess.SnapshotInsns = 200_000
 		EnableTelemetry(sess)
@@ -145,8 +145,10 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 		return sess.Records()
 	}
 
+	// The reference: a live sweep with the lanes inline.
+	setParallelismForTest(t, 1)
 	SetTraceCache(nil)
-	liveRecs := record()
+	liveRecs := record(t)
 	if len(liveRecs) != 1 {
 		t.Fatalf("live: %d records, want 1", len(liveRecs))
 	}
@@ -154,45 +156,88 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 		t.Errorf("live record has trace provenance %+v, want none", liveRecs[0].Trace)
 	}
 
+	// Parallelism 3 shards both the live and the replayed bank; neither may
+	// move a snapshot or a cache record.
+	for _, par := range []int{1, 3} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			setParallelismForTest(t, par)
+			SetTraceCache(nil)
+			if recs := record(t); !reflect.DeepEqual(recs[0].Caches, liveRecs[0].Caches) {
+				t.Errorf("live cache records differ from the inline reference:\ngot:  %+v\nwant: %+v",
+					recs[0].Caches, liveRecs[0].Caches)
+			}
+
+			installTraceCache(t)
+			recordRecs := record(t) // recording run + replayed sweep
+			if len(recordRecs) != 2 {
+				t.Fatalf("record pass: %d records, want 2 (recording run + replay)", len(recordRecs))
+			}
+			rec, rep := recordRecs[0], recordRecs[1]
+			if rec.Trace == nil || rec.Trace.Source != "record" {
+				t.Fatalf("recording run provenance = %+v, want source=record", rec.Trace)
+			}
+			if rep.Trace == nil || rep.Trace.Source != "replay" {
+				t.Fatalf("replayed run provenance = %+v, want source=replay", rep.Trace)
+			}
+			if rec.Trace.SHA256 == "" || rec.Trace.SHA256 != rep.Trace.SHA256 {
+				t.Errorf("trace hashes: record %q vs replay %q", rec.Trace.SHA256, rep.Trace.SHA256)
+			}
+			if rep.Trace.Refs == 0 || rep.Trace.Refs != rec.Trace.Refs {
+				t.Errorf("trace ref counts: record %d vs replay %d", rec.Trace.Refs, rep.Trace.Refs)
+			}
+
+			// Snapshots: identical insns_at sequences, cache by cache.
+			if len(rep.Caches) != len(liveRecs[0].Caches) {
+				t.Fatalf("replay has %d cache records, live %d", len(rep.Caches), len(liveRecs[0].Caches))
+			}
+			for i, lc := range liveRecs[0].Caches {
+				rc := rep.Caches[i]
+				if !reflect.DeepEqual(lc, rc) {
+					t.Errorf("cache record %d (%s) differs between live and replay:\nlive:   %+v\nreplay: %+v",
+						i, lc.Config.Name, lc, rc)
+				}
+			}
+
+			// The record is still schema-valid with the trace block attached.
+			for _, r := range recordRecs {
+				data, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := telemetry.ValidateRecordJSON(data); err != nil {
+					t.Errorf("record fails schema validation: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// The /metrics counters behind the fused path are process-wide, so the
+// test asserts deltas: every trace-cached sweep takes the fused path and
+// decodes at least one frame.
+func TestFusedReplayCounters(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := gcSweepConfigs()
+	setParallelismForTest(t, 1)
 	installTraceCache(t)
-	recordRecs := record() // recording run + replayed sweep
-	if len(recordRecs) != 2 {
-		t.Fatalf("record pass: %d records, want 2 (recording run + replay)", len(recordRecs))
-	}
-	rec, rep := recordRecs[0], recordRecs[1]
-	if rec.Trace == nil || rec.Trace.Source != "record" {
-		t.Fatalf("recording run provenance = %+v, want source=record", rec.Trace)
-	}
-	if rep.Trace == nil || rep.Trace.Source != "replay" {
-		t.Fatalf("replayed run provenance = %+v, want source=replay", rep.Trace)
-	}
-	if rec.Trace.SHA256 == "" || rec.Trace.SHA256 != rep.Trace.SHA256 {
-		t.Errorf("trace hashes: record %q vs replay %q", rec.Trace.SHA256, rep.Trace.SHA256)
-	}
-	if rep.Trace.Refs == 0 || rep.Trace.Refs != rec.Trace.Refs {
-		t.Errorf("trace ref counts: record %d vs replay %d", rec.Trace.Refs, rep.Trace.Refs)
-	}
 
-	// Snapshots: identical insns_at sequences, cache by cache.
-	if len(rep.Caches) != len(liveRecs[0].Caches) {
-		t.Fatalf("replay has %d cache records, live %d", len(rep.Caches), len(liveRecs[0].Caches))
-	}
-	for i, lc := range liveRecs[0].Caches {
-		rc := rep.Caches[i]
-		if !reflect.DeepEqual(lc, rc) {
-			t.Errorf("cache record %d (%s) differs between live and replay:\nlive:   %+v\nreplay: %+v",
-				i, lc.Config.Name, lc, rc)
+	before := FusedStats()
+	// First sweep records then replays; the second replays from the cache
+	// alone. Both replays must take the fused path.
+	for pass := 0; pass < 2; pass++ {
+		if _, err := RunSweep(context.Background(), w, w.SmallScale, gc.NewCheney(256<<10), cfgs); err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
 		}
 	}
+	after := FusedStats()
 
-	// The record is still schema-valid with the trace block attached.
-	for _, r := range recordRecs {
-		data, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := telemetry.ValidateRecordJSON(data); err != nil {
-			t.Errorf("record fails schema validation: %v", err)
-		}
+	if got := after.FusedSweeps - before.FusedSweeps; got != 2 {
+		t.Errorf("fused sweeps: got %d, want 2", got)
+	}
+	if got := after.DecodeOnceFrames - before.DecodeOnceFrames; got == 0 {
+		t.Error("decode-once frames did not advance across two fused sweeps")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -127,6 +128,33 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 		Misses:        tc.misses.Load(),
 		Recorded:      tc.recorded.Load(),
 		RemoteFetches: tc.fetched.Load(),
+	}
+}
+
+// Process-wide fused-replay counters, exported by gcsimd's /metrics next
+// to the trace-cache hit rate: together they show how many sweeps were
+// replayed and how many frame decodes were shared across a whole sweep's
+// configurations.
+var (
+	fusedSweepCount  atomic.Uint64
+	decodeOnceFrames atomic.Uint64
+)
+
+// FusedReplayStats counts this process's replayed sweeps.
+type FusedReplayStats struct {
+	// FusedSweeps is the number of replayed sweeps that decoded the trace
+	// once and fanned each chunk out to every configuration.
+	FusedSweeps uint64 `json:"fused_sweeps"`
+	// DecodeOnceFrames is the total number of trace frames decoded on the
+	// fused path — each decoded exactly once for the whole sweep.
+	DecodeOnceFrames uint64 `json:"decode_once_frames"`
+}
+
+// FusedStats returns the fused-replay counters accumulated so far.
+func FusedStats() FusedReplayStats {
+	return FusedReplayStats{
+		FusedSweeps:      fusedSweepCount.Load(),
+		DecodeOnceFrames: decodeOnceFrames.Load(),
 	}
 }
 
@@ -559,28 +587,13 @@ func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale i
 	return meta, nil
 }
 
-// openTrace returns a streaming reader over the trace blob. With a COW
-// store this is where a trace recorded on another node is pulled through
-// into local storage — once.
-func (tc *TraceCache) openTrace(ctx context.Context, meta *TraceMeta) (io.ReadSeekCloser, error) {
-	id, err := castore.ParseID(meta.SHA256)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: bad sha256 in sidecar: %w", err)
-	}
-	rc, err := castore.Open(ctx, tc.blobs, id)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: open trace %s: %w", meta.SHA256, err)
-	}
-	return rc, nil
-}
-
 // runSweep is RunSweep's record/replay path: ensure the trace exists (one
 // VM run at most, ever — cluster-wide when a remote index is wired), then
-// drive the sweep from the trace. v2 traces take the fused path — a
-// SharedReplayer decodes each frame exactly once and a FusedBank
-// simulates the chunk against every configuration in a single pass, with
-// no per-config decode and no per-ref dispatch. v1 traces (no frame
-// stamps) fall back to the classic replayer into a bank.
+// drive the shared sweep path from the trace: a SharedReplayer decodes
+// each frame exactly once and the fused bank simulates the chunk against
+// every configuration, with no per-config decode and no per-ref dispatch.
+// The cache only ever holds v2 traces (the format version is part of the
+// key), so a blob the shared decoder refuses is a corrupt entry.
 func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
 	if scale == 0 {
 		scale = w.DefaultScale
@@ -590,209 +603,89 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 		return nil, err
 	}
 
-	f, err := tc.openTrace(ctx, meta)
+	// With a COW store, opening the blob is where a trace recorded on
+	// another node is pulled through into local storage — once.
+	id, err := castore.ParseID(meta.SHA256)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: trace cache: bad sha256 in sidecar: %w", err)
+	}
+	f, err := castore.Open(ctx, tc.blobs, id)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: open trace %s: %w", meta.SHA256, err)
 	}
 	defer f.Close()
 
-	sr, serr := traceio.NewSharedReplayer(f)
-	if serr != nil {
-		// Not a v2 trace: rewind and replay through the per-bank path.
-		fallbackSweepCount.Add(1)
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("core: trace cache: %s: %w", meta.SHA256, err)
-		}
-		return tc.replayFallback(ctx, w, scale, col, cfgs, meta, f)
+	sr, err := traceio.NewSharedReplayer(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: corrupt entry %s: %w", meta.SHA256, err)
 	}
 	fusedSweepCount.Add(1)
 	sr.SetDecoders(Parallelism())
-	fused := cache.NewFusedBank(cfgs)
-	bank := fused.Bank()
-	sess := TelemetrySession()
-	if sess != nil && sess.SnapshotInsns > 0 {
-		for _, c := range fused.Caches {
-			c.EnableSnapshots(sess.SnapshotInsns)
-		}
-		// No clock wiring needed: every frame carries the instruction
-		// stamp the recording machine published at that chunk boundary,
-		// and ChunkBatch samples at those stamps — snapshots land on
-		// identical insns_at values to a live run's.
-	}
+	// Snapshots need no clock wiring: every frame carries the instruction
+	// stamp the recording machine published at that chunk boundary, and
+	// ChunkBatch samples at those stamps — snapshots land on identical
+	// insns_at values to a live run's.
+	return sweep(cfgs, func(bank *cache.FusedBank) (*RunResult, error) {
+		prog := progress()
+		prog.Printf("replay %s gc=%s started (%d refs cached, fused across %d configs)",
+			w.Name, meta.Collector, meta.Refs, len(cfgs))
+		spanCtx, span := Spans().StartSpan(ctx, telemetry.StageReplay)
+		span.SetAttr("path", "fused")
+		span.SetAttr("configs", fmt.Sprint(len(cfgs)))
+		start := time.Now()
+		n, err := sr.Run(ctx, bank)
+		bank.Drain() // the stage clocks and the wall time include the workers' tail
+		dur := time.Since(start)
+		span.End()
+		emitReplayStages(spanCtx, start, sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds())
+		decodeOnceFrames.Add(sr.Frames())
 
-	prog := progress()
-	prog.Printf("replay %s gc=%s started (%d refs cached, fused across %d configs)",
-		w.Name, meta.Collector, meta.Refs, len(cfgs))
-	spanCtx, span := Spans().StartSpan(ctx, telemetry.StageReplay)
-	span.SetAttr("path", "fused")
-	span.SetAttr("configs", fmt.Sprint(len(cfgs)))
-	start := time.Now()
-	n, rerr := sr.Run(ctx, fused)
-	dur := time.Since(start)
-	span.End()
-	emitReplayStages(spanCtx, start, sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds())
-	decodeOnceFrames.Add(sr.Frames())
-
-	run := &RunResult{
-		Workload:  meta.Workload,
-		Collector: meta.Collector,
-		Checksum:  meta.Checksum,
-		Insns:     meta.Insns,
-		GCInsns:   meta.GCInsns,
-		Counters:  meta.Counters,
-		GCStats:   meta.GCStats,
-	}
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col}
-
-	if rerr != nil {
-		if ctx.Err() != nil {
-			rerr = fmt.Errorf("%w: %w", vm.ErrInterrupted, rerr)
-		}
-		prog.Printf("replay %s gc=%s failed: %v", w.Name, meta.Collector, rerr)
-		if sess != nil {
-			rec := newRunRecord(spec, run, nil, dur, 0)
-			rec.Status = telemetry.StatusFailed
-			if ctx.Err() != nil {
-				rec.Status = telemetry.StatusInterrupted
-			}
-			rec.Error = rerr.Error()
-			rec.Trace = traceProvenance("replay", meta)
-			for _, c := range bank.Caches {
-				rec.Caches = append(rec.Caches, telemetry.CacheRecordOf(c, run.Insns))
-			}
-			run.Record = rec
-			sess.Add(rec)
-		}
-		return nil, rerr
-	}
-	if n != meta.Refs {
-		return nil, fmt.Errorf("core: trace cache: %s replayed %d refs, sidecar says %d — corrupt entry?",
-			meta.SHA256, n, meta.Refs)
-	}
-	prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
-		w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
-	// The per-stage breakdown of the fused sweep: decode is paid once for
-	// all configurations; simulate is the fused kernel; merge is the
-	// per-chunk stat folding and snapshot checks. bench_replay.sh parses
-	// this line from the progress stream.
-	prog.Printf("replay stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d configs=%d path=fused",
-		sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds(), sr.Frames(), len(cfgs))
-
-	if sess != nil {
-		rec := newRunRecord(spec, run, nil, dur, 0)
-		rec.Trace = traceProvenance("replay", meta)
-		run.Record = rec
-		sess.Add(rec)
-	}
-	return finishSweep(run, bank, cfgs, sess), nil
-}
-
-// replayFallback drives a sweep from a trace the shared decoder cannot
-// serve (format v1): the classic replayer delivers each chunk to a serial
-// or parallel bank, paying per-tracer dispatch but preserving the exact
-// replay semantics (including snapshot clocks via the replayer's stamp).
-func (tc *TraceCache) replayFallback(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config, meta *TraceMeta, f io.ReadSeeker) (*SweepResult, error) {
-	rp, err := traceio.NewReplayer(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: %s: %w", meta.SHA256, err)
-	}
-	rp.SetDecoders(Parallelism())
-
-	var (
-		bank   *cache.Bank
-		tracer mem.Tracer
-		par    *cache.ParallelBank
-	)
-	if Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		bank = cache.NewBank(cfgs)
-		tracer = bank
-	}
-	sess := TelemetrySession()
-	if sess != nil && sess.SnapshotInsns > 0 {
-		var caches []*cache.Cache
-		if par != nil {
-			caches = par.Caches
-		} else {
-			caches = bank.Caches
-		}
-		for _, c := range caches {
-			c.EnableSnapshots(sess.SnapshotInsns)
-		}
-		// The replayer's clock publishes each frame's recorded instruction
-		// stamp exactly where a live run's machine would publish its
-		// counter, so snapshots land on identical insns_at values.
-		if par != nil {
-			par.SetSnapshotClock(rp.Clock)
-		} else {
-			bank.SetSnapshotClock(rp.Clock)
-		}
-	}
-
-	prog := progress()
-	prog.Printf("replay %s gc=%s started (%d refs cached)", w.Name, meta.Collector, meta.Refs)
-	_, span := Spans().StartSpan(ctx, telemetry.StageReplay)
-	span.SetAttr("path", "fallback")
-	span.SetAttr("configs", fmt.Sprint(len(cfgs)))
-	start := time.Now()
-	n, rerr := rp.Run(ctx, tracer)
-	if par != nil {
-		par.Drain() // final barrier, also on error paths
-		bank = par.Bank()
-	}
-	dur := time.Since(start)
-	span.End()
-
-	run := &RunResult{
-		Workload:  meta.Workload,
-		Collector: meta.Collector,
-		Checksum:  meta.Checksum,
-		Insns:     meta.Insns,
-		GCInsns:   meta.GCInsns,
-		Counters:  meta.Counters,
-		GCStats:   meta.GCStats,
-	}
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col}
-
-	if rerr != nil {
-		if ctx.Err() != nil {
+		switch {
+		case err != nil && ctx.Err() != nil:
 			// Match the live path's contract: the error satisfies both
 			// ctx.Err() and vm.ErrInterrupted under errors.Is.
-			rerr = fmt.Errorf("%w: %w", vm.ErrInterrupted, rerr)
+			err = fmt.Errorf("%w: %w", vm.ErrInterrupted, err)
+		case err == nil && n != meta.Refs:
+			err = fmt.Errorf("core: trace cache: %s replayed %d refs, sidecar says %d — corrupt entry?",
+				meta.SHA256, n, meta.Refs)
 		}
-		prog.Printf("replay %s gc=%s failed: %v", w.Name, meta.Collector, rerr)
-		if sess != nil {
-			rec := newRunRecord(spec, run, nil, dur, 0)
-			rec.Status = telemetry.StatusFailed
-			if ctx.Err() != nil {
-				rec.Status = telemetry.StatusInterrupted
-			}
-			rec.Error = rerr.Error()
+		if err != nil {
+			prog.Printf("replay %s gc=%s failed: %v", w.Name, meta.Collector, err)
+		} else {
+			prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
+				w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
+			// The per-stage breakdown of the fused sweep: decode is paid once
+			// for all configurations; simulate is the fused kernel; merge is
+			// the per-chunk stat folding and snapshot checks. bench_replay.sh
+			// parses this line from the progress stream.
+			prog.Printf("replay stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d configs=%d path=fused",
+				sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), len(cfgs))
+		}
+
+		run := &RunResult{
+			Workload:  meta.Workload,
+			Collector: meta.Collector,
+			Checksum:  meta.Checksum,
+			Insns:     meta.Insns,
+			GCInsns:   meta.GCInsns,
+			Counters:  meta.Counters,
+			GCStats:   meta.GCStats,
+		}
+		if sess := TelemetrySession(); sess != nil {
+			rec := newRunRecord(RunSpec{Workload: w, Scale: scale, Collector: col}, run, nil, dur, 0)
 			rec.Trace = traceProvenance("replay", meta)
-			for _, c := range bank.Caches {
-				rec.Caches = append(rec.Caches, telemetry.CacheRecordOf(c, run.Insns))
+			if err != nil {
+				rec.Status = telemetry.StatusFailed
+				if errors.Is(err, vm.ErrInterrupted) {
+					rec.Status = telemetry.StatusInterrupted
+				}
+				rec.Error = err.Error()
 			}
 			run.Record = rec
 			sess.Add(rec)
 		}
-		return nil, rerr
-	}
-	if n != meta.Refs {
-		return nil, fmt.Errorf("core: trace cache: %s replayed %d refs, sidecar says %d — corrupt entry?",
-			meta.SHA256, n, meta.Refs)
-	}
-	prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
-		w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
-
-	if sess != nil {
-		rec := newRunRecord(spec, run, nil, dur, 0)
-		rec.Trace = traceProvenance("replay", meta)
-		run.Record = rec
-		sess.Add(rec)
-	}
-	return finishSweep(run, bank, cfgs, sess), nil
+		return run, err
+	})
 }
 
 // emitReplayStages records the fused sweep's stage clocks as synthesized

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"gcsim/internal/castore"
 	"gcsim/internal/gc"
+	"gcsim/internal/traceio"
+	"gcsim/internal/vm"
 	"gcsim/internal/workloads"
 )
 
@@ -121,6 +124,55 @@ func TestTraceCacheLegacyMigration(t *testing.T) {
 	st := migrated.Stats()
 	if st.Hits != 1 || st.Recorded != 0 {
 		t.Errorf("migrated cache: hits=%d recorded=%d, want 1 hit and no re-recording", st.Hits, st.Recorded)
+	}
+}
+
+// TestTraceCacheRejectsNonV2Blob: the cache only ever holds v2 traces, so
+// an entry whose blob is anything else — a format-v1 capture or junk —
+// behind a valid sidecar is a corrupt entry. The sweep must fail naming
+// the blob, without replaying it some other way or re-running the VM.
+func TestTraceCacheRejectsNonV2Blob(t *testing.T) {
+	w := traceTestWorkload(t)
+	col := gc.NewCheney(256 << 10)
+	identity := gc.Identity(col)
+	key := traceKey(w.Name, w.SmallScale, identity)
+
+	for name, blob := range map[string]string{
+		"v1":   "GCSIMTRACE1\n\x01\x02\x00\x04",
+		"junk": "not a trace at all",
+	} {
+		t.Run(name, func(t *testing.T) {
+			blobs := castore.NewMem()
+			id, err := blobs.Post(context.Background(), []byte(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			index := NewMemTraceIndex()
+			if err := index.Save(key, &TraceMeta{
+				Schema:        TraceMetaSchema,
+				Workload:      w.Name,
+				Scale:         w.SmallScale,
+				Identity:      identity,
+				FormatVersion: traceio.FormatVersion,
+				VMCodeShape:   vm.CodeShapeVersion,
+				SHA256:        id.String(),
+				Refs:          4,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tc := NewTraceCacheWith(blobs, index)
+			runs := VMRunsStarted()
+			_, err = runSweepWith(context.Background(), tc, w, w.SmallScale, col, gcSweepConfigs())
+			if err == nil || !strings.Contains(err.Error(), id.String()) {
+				t.Fatalf("sweep over a %s blob: err = %v, want a corrupt-entry error naming %s", name, err, id)
+			}
+			if VMRunsStarted() != runs {
+				t.Error("a corrupt entry fell back to running the VM")
+			}
+			if st := tc.Stats(); st.Hits != 1 || st.Recorded != 0 {
+				t.Errorf("stats %+v, want one hit and no recording", st)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,10 @@
 // Trace format v2: length-prefixed frames of packed mem.Ref chunks.
 //
-// Where format v1 is a flat per-reference record stream (one virtual
-// Tracer call per reference to write, one per reference to read), v2 is
-// framed: the writer consumes whole chunks from the batch reference
-// pipeline (mem.BatchTracer), encodes each chunk into one self-contained
-// frame, and the replayer can decode frames on a pool of goroutines
-// because every frame restarts its address-delta chain from zero.
+// The format is framed: the writer consumes whole chunks from the batch
+// reference pipeline (mem.BatchTracer), encodes each chunk into one
+// self-contained frame, and the replayer can decode frames on a pool of
+// goroutines because every frame restarts its address-delta chain from
+// zero.
 //
 // Layout, after the 12-byte magic "GCSIMTRACE2\n":
 //

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"gcsim/internal/cache"
-	"gcsim/internal/gc"
 	"gcsim/internal/mem"
-	"gcsim/internal/vm"
 )
 
 // makeRefs builds a deterministic reference stream with jumps, runs, and
@@ -108,9 +106,6 @@ func TestV2RoundTripParallel(t *testing.T) {
 		rp, err := NewReplayer(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if rp.Version() != 2 {
-			t.Fatalf("Version = %d, want 2", rp.Version())
 		}
 		rp.SetDecoders(nd)
 		var out batchRecorder
@@ -287,28 +282,16 @@ func TestReplayerSingleShot(t *testing.T) {
 // End-to-end: a VM run captured in v2 and replayed (serially and with a
 // decoder pool) into a fresh cache must reproduce live statistics exactly.
 func TestV2CaptureAndReplayMatchesLive(t *testing.T) {
-	prog := `
-		(define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
-		(let loop ((i 0) (acc 0))
-		  (if (= i 30) acc (loop (+ i 1) (+ acc (length (build 200))))))`
 	cfg := cache.Config{SizeBytes: 32 << 10, BlockBytes: 64, Policy: cache.WriteValidate}
-
 	live := cache.New(cfg)
-	m1 := vm.NewLoaded(live, gc.NewCheney(64<<10))
-	m1.MaxInsns = 500_000_000
-	m1.MustEval(prog)
+	runCaptureProg(t, live)
 
 	var buf bytes.Buffer
 	w, err := NewBatchWriter(&buf, WriterOpts{Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := vm.NewLoaded(w, gc.NewCheney(64<<10))
-	m2.MaxInsns = 500_000_000
-	m2.MustEval(prog)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	runCaptureProg(t, w)
 
 	for _, nd := range []int{1, 4} {
 		rp, err := NewReplayer(bytes.NewReader(buf.Bytes()))

@@ -27,21 +27,8 @@ func FuzzReplay(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
-	// A v1 trace and assorted junk.
-	{
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, r := range refs[:100] {
-			w.Ref(r.Addr(), r.Write(), r.Collector())
-		}
-		if err := w.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
+	// A retired v1 trace and assorted junk.
+	f.Add([]byte(magicV1 + "\x01\x02\x03\x04"))
 	f.Add([]byte(Magic2))
 	f.Add([]byte(Magic2 + "\x01\x00\x00\x01"))
 	f.Add([]byte("not a trace at all"))
@@ -59,13 +46,10 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("decoders=%d: reported %d refs, delivered %d", nd, n, out.n)
 			}
 			// The shared-decode path must agree with the classic replayer
-			// byte for byte: same acceptance (v2 only), same ref count.
+			// byte for byte: same acceptance, same ref count.
 			sr, serr := NewSharedReplayer(bytes.NewReader(data))
 			if serr != nil {
-				if rp.Version() == 2 {
-					t.Fatalf("shared replayer rejected a v2 header: %v", serr)
-				}
-				continue
+				t.Fatalf("shared replayer rejected a header the classic one accepted: %v", serr)
 			}
 			sr.SetDecoders(nd)
 			var sout fuzzSink

@@ -1,14 +1,14 @@
 // Trace replay: the consumer side of the record-once / replay-many
-// engine. A Replayer reads either trace format (v1 flat records, v2
-// frames) and feeds the reference stream to any mem.Tracer; a
-// batch-capable tracer (a cache, a Bank, a ParallelBank) receives whole
-// chunks, reproducing exactly the chunk boundaries of the recorded run.
+// engine. A Replayer reads a v2 trace and feeds the reference stream to
+// any mem.Tracer; a batch-capable tracer (a cache, a Bank, a FusedBank)
+// receives whole chunks, reproducing exactly the chunk boundaries of the
+// recorded run.
 // A SharedReplayer is the decode-once variant: it hands each decoded
 // frame, together with its recorded instruction-clock stamp, to a
 // ChunkSink exactly once — the feed for the fused cache bank, where one
 // decode serves every configuration of a sweep.
 //
-// For v2 traces both replayers decode frames on a pool of goroutines:
+// Both replayers decode frames on a pool of goroutines:
 // frames are self-contained, so decoding parallelizes, while delivery
 // stays strictly in frame order — the consumer observes the identical
 // reference stream (and identical chunk boundaries) the recording run
@@ -19,7 +19,6 @@ package traceio
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -43,7 +42,6 @@ type ChunkSink interface {
 // optionally SetDecoders, then Run once.
 type Replayer struct {
 	br       *bufio.Reader
-	version  int
 	decoders int
 	stamp    uint64
 	ran      bool
@@ -52,33 +50,27 @@ type Replayer struct {
 	decNs  atomic.Int64 // cumulative frame-decode time across the pool
 }
 
-// NewReplayer opens a trace stream, consuming and validating the magic
-// header. Both format versions are accepted; Version reports which.
+// NewReplayer opens a v2 trace stream, consuming and validating the
+// magic header. A format-v1 header is refused by name.
 func NewReplayer(r io.Reader) (*Replayer, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, len(Magic))
+	head := make([]byte, len(Magic2))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("traceio: reading header: %w", err)
 	}
-	rp := &Replayer{br: br, decoders: runtime.GOMAXPROCS(0)}
 	switch string(head) {
-	case Magic:
-		rp.version = 1
 	case Magic2:
-		rp.version = 2
+		return &Replayer{br: br, decoders: runtime.GOMAXPROCS(0)}, nil
+	case magicV1:
+		return nil, fmt.Errorf("traceio: trace format v1 is no longer supported; re-capture with gctrace -capture")
 	default:
 		return nil, fmt.Errorf("traceio: not a gcsim trace file")
 	}
-	return rp, nil
 }
-
-// Version returns the trace format version (1 or 2).
-func (rp *Replayer) Version() int { return rp.version }
 
 // SetDecoders bounds the frame-decoding goroutine pool (default
 // GOMAXPROCS). With n <= 1, Run decodes inline with no goroutines at
-// all. v1 traces always replay inline (the flat record stream has no
-// frame boundaries to parallelize over).
+// all.
 func (rp *Replayer) SetDecoders(n int) {
 	if n < 1 {
 		n = 1
@@ -107,26 +99,25 @@ func (rp *Replayer) DecodeSeconds() float64 { return float64(rp.decNs.Load()) / 
 // frame order, on the Run caller's goroutine.
 type emitFunc func(refs []mem.Ref, insnsAt uint64)
 
-// Run replays the whole trace into tracer, returning the number of
-// references delivered. The context cancels the replay at the next frame
-// boundary (v1: every mem.ChunkRefs records); the returned error then
-// matches ctx.Err() under errors.Is.
+// Run replays the whole trace into tracer — batch-wise if it is a
+// mem.BatchTracer — returning the number of references delivered. The
+// context cancels the replay at the next frame boundary; the returned
+// error then matches ctx.Err() under errors.Is.
 func (rp *Replayer) Run(ctx context.Context, tracer mem.Tracer) (uint64, error) {
-	if rp.version == 1 {
-		if rp.ran {
-			return 0, fmt.Errorf("traceio: Replayer is single-shot")
-		}
-		rp.ran = true
-		return rp.runV1(ctx, tracer)
-	}
 	bt, _ := tracer.(mem.BatchTracer)
 	return rp.run(ctx, func(refs []mem.Ref, insnsAt uint64) {
 		rp.stamp = insnsAt
-		deliver(tracer, bt, refs)
+		if bt != nil {
+			bt.RefBatch(refs)
+			return
+		}
+		for _, r := range refs {
+			tracer.Ref(r.Addr(), r.Write(), r.Collector())
+		}
 	})
 }
 
-// run replays a v2 trace through emit, inline or via the decoder pool.
+// run replays the trace through emit, inline or via the decoder pool.
 func (rp *Replayer) run(ctx context.Context, emit emitFunc) (uint64, error) {
 	if rp.ran {
 		return 0, fmt.Errorf("traceio: Replayer is single-shot")
@@ -138,46 +129,11 @@ func (rp *Replayer) run(ctx context.Context, emit emitFunc) (uint64, error) {
 	return rp.runSerial(ctx, emit)
 }
 
-// deliver hands one decoded chunk to the tracer, batch-wise if possible.
-func deliver(tracer mem.Tracer, bt mem.BatchTracer, refs []mem.Ref) {
-	if bt != nil {
-		bt.RefBatch(refs)
-		return
-	}
-	for _, r := range refs {
-		tracer.Ref(r.Addr(), r.Write(), r.Collector())
-	}
-}
-
 func interrupted(ctx context.Context, count uint64) error {
 	return fmt.Errorf("traceio: replay interrupted after %d refs: %w", count, ctx.Err())
 }
 
-// runV1 replays the flat v1 record stream.
-func (rp *Replayer) runV1(ctx context.Context, tracer mem.Tracer) (uint64, error) {
-	var addr, count uint64
-	for {
-		if count%mem.ChunkRefs == 0 && ctx.Err() != nil {
-			return count, interrupted(ctx, count)
-		}
-		flags, err := rp.br.ReadByte()
-		if err == io.EOF {
-			return count, nil
-		}
-		if err != nil {
-			return count, fmt.Errorf("traceio: %w", err)
-		}
-		delta, err := binary.ReadVarint(rp.br)
-		if err != nil {
-			return count, fmt.Errorf("traceio: truncated record %d: %w", count, err)
-		}
-		addr = uint64(int64(addr) + delta)
-		tracer.Ref(addr, flags&flagWrite != 0, flags&flagCollector != 0)
-		count++
-	}
-}
-
-// runSerial replays a v2 trace inline: one goroutine reads, decodes, and
+// runSerial replays the trace inline: one goroutine reads, decodes, and
 // delivers, reusing a single payload buffer and chunk.
 func (rp *Replayer) runSerial(ctx context.Context, emit emitFunc) (uint64, error) {
 	var (
@@ -236,7 +192,7 @@ type decodeResult struct {
 // clean trailer) after it has verified the trailer's totals itself.
 type readerOutcome struct{ err error }
 
-// runParallel replays a v2 trace with a decoder pool. The reader
+// runParallel replays the trace with a decoder pool. The reader
 // goroutine streams frames (verifying the running CRC and trailer), the
 // pool decodes them concurrently, and the calling goroutine delivers
 // decoded chunks strictly in frame order.
@@ -343,51 +299,35 @@ func (rp *Replayer) runParallel(ctx context.Context, emit emitFunc) (uint64, err
 	return count, derr
 }
 
-// SharedReplayer replays one v2 trace into a ChunkSink, decoding each
-// frame exactly once no matter how many cache configurations the sink
-// fans the chunk out to. It refuses v1 traces — they carry no frame
-// stamps, so a shared replay could not reproduce snapshot clocks; callers
-// fall back to a Replayer per config (or a Bank) for those. Like
-// Replayer, it is single-shot.
+// SharedReplayer replays one trace into a ChunkSink, decoding each frame
+// exactly once no matter how many cache configurations the sink fans the
+// chunk out to. It is a Replayer whose Run feeds a sink instead of a
+// tracer; with the fused bank downstream, each of its Frames counts as
+// one decode serving the whole sweep. Like Replayer, it is single-shot.
 type SharedReplayer struct {
-	rp *Replayer
+	*Replayer
 }
 
-// NewSharedReplayer opens a v2 trace stream for decode-once replay.
+// NewSharedReplayer opens a trace stream for decode-once replay.
 func NewSharedReplayer(r io.Reader) (*SharedReplayer, error) {
 	rp, err := NewReplayer(r)
 	if err != nil {
 		return nil, err
 	}
-	if rp.version != 2 {
-		return nil, fmt.Errorf("traceio: shared replay requires a v2 trace (got format v%d)", rp.version)
-	}
-	return &SharedReplayer{rp: rp}, nil
+	return &SharedReplayer{rp}, nil
 }
-
-// SetDecoders bounds the frame-decoding pool (see Replayer.SetDecoders).
-func (s *SharedReplayer) SetDecoders(n int) { s.rp.SetDecoders(n) }
 
 // Run replays the whole trace into sink, returning the number of
 // references delivered. Chunks arrive strictly in frame order on the
 // calling goroutine, each stamped with its recorded instruction clock.
 func (s *SharedReplayer) Run(ctx context.Context, sink ChunkSink) (uint64, error) {
-	return s.rp.run(ctx, sink.ChunkBatch)
+	return s.run(ctx, sink.ChunkBatch)
 }
 
-// Frames returns the number of frames decoded and delivered so far —
-// with the fused bank downstream, each counts as one decode serving the
-// whole sweep.
-func (s *SharedReplayer) Frames() uint64 { return s.rp.Frames() }
-
-// DecodeSeconds reports cumulative frame-decode time (see
-// Replayer.DecodeSeconds).
-func (s *SharedReplayer) DecodeSeconds() float64 { return s.rp.DecodeSeconds() }
-
 // Replay streams a trace from r into tracer, returning the number of
-// references replayed. Both format versions are accepted. The context
-// cancels the replay at the next frame boundary. Replay decodes inline;
-// use a Replayer directly for pooled decoding of v2 traces.
+// references replayed. The context cancels the replay at the next frame
+// boundary. Replay decodes inline; use a Replayer directly for pooled
+// decoding.
 func Replay(ctx context.Context, r io.Reader, tracer mem.Tracer) (uint64, error) {
 	rp, err := NewReplayer(r)
 	if err != nil {

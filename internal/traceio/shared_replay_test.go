@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"gcsim/internal/cache"
@@ -93,22 +94,12 @@ func TestSharedReplayerMatchesReplayer(t *testing.T) {
 	}
 }
 
-// TestSharedReplayerRejectsV1 pins the fallback rule: v1 traces have no
-// frame stamps and must be refused, not silently degraded.
+// TestSharedReplayerRejectsV1: a retired format-v1 trace is refused by
+// name, never silently degraded, and junk is refused too.
 func TestSharedReplayerRejectsV1(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range makeRefs(100) {
-		w.Ref(r.Addr(), r.Write(), r.Collector())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSharedReplayer(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("NewSharedReplayer accepted a v1 trace")
+	_, err := NewSharedReplayer(bytes.NewReader([]byte(magicV1 + "\x01\x02")))
+	if err == nil || !strings.Contains(err.Error(), "re-capture with gctrace -capture") {
+		t.Fatalf("NewSharedReplayer on a v1 trace: err = %v, want the re-capture error", err)
 	}
 	if _, err := NewSharedReplayer(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("NewSharedReplayer accepted junk")

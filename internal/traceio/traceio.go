@@ -1,87 +1,15 @@
 // Package traceio captures and replays reference traces, supporting the
 // paper's methodology — trace-driven cache simulation — without re-running
 // the virtual machine. A BatchWriter records every reference a Memory
-// emits (format v2, framed — see format2.go); a trace file can later be
-// replayed into any tracer (a cache, a bank, a behaviour analyzer) with
-// Replay or a Replayer.
+// emits in trace format v2 (framed chunks, see format2.go); a trace can
+// later be replayed into any tracer (a cache, a bank, a behaviour
+// analyzer) with Replay or a Replayer, or decoded once for a whole sweep
+// with a SharedReplayer (see replay.go).
 //
-// This file is the legacy v1 format: a magic header, then one flat record
-// per reference — a flag byte (write/collector bits) followed by the
-// zigzag-varint delta of the word address from the previous record.
-// Sequential allocation sweeps compress to ~2 bytes per reference. v1 is
-// kept writable for compatibility tests and readable forever; new traces
-// are written in format v2.
+// Format v2 is the only format read or written. Files in the retired flat
+// per-reference format v1 are recognised by their magic header and
+// refused with an error that says how to re-capture them.
 package traceio
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"gcsim/internal/mem"
-)
-
-// Magic identifies format v1 trace files.
-const Magic = "GCSIMTRACE1\n"
-
-const (
-	flagWrite     = 1 << 0
-	flagCollector = 1 << 1
-)
-
-// Writer streams references to an io.Writer. It implements mem.Tracer, so
-// it can be installed directly on a Memory (or combined with other tracers
-// through core.MultiTracer). Call Flush when the run completes.
-type Writer struct {
-	w        *bufio.Writer
-	prevAddr uint64
-	count    uint64
-	err      error
-	buf      [binary.MaxVarintLen64 + 1]byte
-}
-
-// NewWriter starts a trace on w.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, fmt.Errorf("traceio: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Ref implements mem.Tracer.
-func (t *Writer) Ref(addr uint64, write, collector bool) {
-	if t.err != nil {
-		return
-	}
-	var flags byte
-	if write {
-		flags |= flagWrite
-	}
-	if collector {
-		flags |= flagCollector
-	}
-	t.buf[0] = flags
-	delta := int64(addr) - int64(t.prevAddr)
-	n := binary.PutVarint(t.buf[1:], delta)
-	if _, err := t.w.Write(t.buf[:1+n]); err != nil {
-		t.err = err
-		return
-	}
-	t.prevAddr = addr
-	t.count++
-}
-
-// Count returns the number of references recorded.
-func (t *Writer) Count() uint64 { return t.count }
-
-// Flush completes the trace and reports any deferred write error.
-func (t *Writer) Flush() error {
-	if t.err != nil {
-		return fmt.Errorf("traceio: %w", t.err)
-	}
-	return t.w.Flush()
-}
-
-var _ mem.Tracer = (*Writer)(nil)
+// magicV1 identifies retired format v1 trace files.
+const magicV1 = "GCSIMTRACE1\n"

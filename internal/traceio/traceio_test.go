@@ -18,18 +18,34 @@ type refRec struct {
 	write, collector bool
 }
 
+// recorder is a plain per-reference tracer: replay must reach it through
+// the per-ref compatibility loop, not a batch.
 type recorder struct{ refs []refRec }
 
 func (r *recorder) Ref(addr uint64, write, collector bool) {
 	r.refs = append(r.refs, refRec{addr, write, collector})
 }
 
-func TestRoundTrip(t *testing.T) {
+// writeRecs records refs one at a time through the writer's per-ref path.
+func writeRecs(t testing.TB, in []refRec) *bytes.Buffer {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewBatchWriter(&buf, WriterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range in {
+		w.Ref(r.addr, r.write, r.collector)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != uint64(len(in)) {
+		t.Errorf("Count = %d, want %d", w.Count(), len(in))
+	}
+	return &buf
+}
+
+func TestRoundTrip(t *testing.T) {
 	in := []refRec{
 		{mem.DynBase, true, false},
 		{mem.DynBase + 1, true, false},
@@ -37,17 +53,8 @@ func TestRoundTrip(t *testing.T) {
 		{mem.DynBase + 100, false, true},
 		{mem.StaticBase, true, true},
 	}
-	for _, r := range in {
-		w.Ref(r.addr, r.write, r.collector)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(in)) {
-		t.Errorf("Count = %d, want %d", w.Count(), len(in))
-	}
 	var out recorder
-	n, err := Replay(context.Background(), &buf, &out)
+	n, err := Replay(context.Background(), writeRecs(t, in), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +69,19 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestSequentialSweepCompresses(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := uint64(0); i < 10000; i++ {
-		w.Ref(mem.DynBase+i, true, false)
+	in := make([]refRec, 10000)
+	for i := range in {
+		in[i] = refRec{mem.DynBase + uint64(i), true, false}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	perRef := float64(buf.Len()-len(Magic)) / 10000
-	if perRef > 2.5 {
-		t.Errorf("sequential trace uses %.1f bytes/ref, want ~2", perRef)
+	buf := writeRecs(t, in)
+	perRef := float64(buf.Len()-len(Magic2)) / float64(len(in))
+	if perRef > 1.1 {
+		t.Errorf("sequential trace uses %.2f bytes/ref, want ~1", perRef)
 	}
 }
 
+// TestRejectsGarbage: anything but a well-formed v2 trace is an error —
+// including a retired format-v1 file, which is refused by name.
 func TestRejectsGarbage(t *testing.T) {
 	var out recorder
 	if _, err := Replay(context.Background(), strings.NewReader("not a trace"), &out); err == nil {
@@ -84,28 +90,25 @@ func TestRejectsGarbage(t *testing.T) {
 	if _, err := Replay(context.Background(), strings.NewReader(""), &out); err == nil {
 		t.Error("empty input accepted")
 	}
-	// Truncated record after a valid header.
-	if _, err := Replay(context.Background(), strings.NewReader(Magic+"\x01"), &out); err == nil {
-		t.Error("truncated record accepted")
+	// Truncated frame after a valid header.
+	if _, err := Replay(context.Background(), strings.NewReader(Magic2+"\x01"), &out); err == nil {
+		t.Error("truncated frame accepted")
+	}
+	_, err := Replay(context.Background(), strings.NewReader(magicV1+"\x01\x02"), &out)
+	if err == nil || !strings.Contains(err.Error(), "v1 is no longer supported") {
+		t.Errorf("v1 trace: err = %v, want the v1-unsupported error", err)
 	}
 }
 
 // Property: arbitrary reference sequences round-trip exactly.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(addrs []uint64, bits []bool) bool {
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
 		var in []refRec
 		for i, a := range addrs {
-			r := refRec{a & (1<<50 - 1), i < len(bits) && bits[i], i%3 == 0}
-			in = append(in, r)
-			w.Ref(r.addr, r.write, r.collector)
-		}
-		if w.Flush() != nil {
-			return false
+			in = append(in, refRec{a & (1<<50 - 1), i < len(bits) && bits[i], i%3 == 0})
 		}
 		var out recorder
-		n, err := Replay(context.Background(), &buf, &out)
+		n, err := Replay(context.Background(), writeRecs(t, in), &out)
 		if err != nil || n != uint64(len(in)) {
 			return false
 		}
@@ -121,41 +124,58 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// End-to-end: capturing a VM run and replaying it into a cache must give
-// exactly the same statistics as simulating live.
-func TestCaptureAndReplayMatchesLive(t *testing.T) {
-	prog := `
+// runCaptureProg runs a small consing program under a Cheney collector
+// with every reference going to tracer; a BatchWriter is clocked by the
+// machine, as the trace cache records.
+func runCaptureProg(t *testing.T, tracer mem.Tracer) {
+	t.Helper()
+	m := vm.NewLoaded(tracer, gc.NewCheney(64<<10))
+	m.MaxInsns = 500_000_000
+	if w, ok := tracer.(*BatchWriter); ok {
+		w.SetClock(m.Insns)
+	}
+	m.MustEval(`
 		(define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
 		(let loop ((i 0) (acc 0))
-		  (if (= i 30) acc (loop (+ i 1) (+ acc (length (build 200))))))`
-	cfg := cache.Config{SizeBytes: 32 << 10, BlockBytes: 64, Policy: cache.WriteValidate}
+		  (if (= i 30) acc (loop (+ i 1) (+ acc (length (build 200))))))`)
+	if w, ok := tracer.(*BatchWriter); ok {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
-	// Live simulation.
-	live := cache.New(cfg)
-	m1 := vm.NewLoaded(live, gc.NewCheney(64<<10))
-	m1.MaxInsns = 500_000_000
-	m1.MustEval(prog)
+// End-to-end: capturing a VM run and replaying it once through the shared
+// decoder into a sharded fused bank must give exactly the statistics of
+// simulating every configuration live.
+func TestCaptureAndReplayMatchesLive(t *testing.T) {
+	cfgs := sweepConfigs8()
+	live := cache.NewBank(cfgs)
+	runCaptureProg(t, live)
 
-	// Captured trace.
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	m2 := vm.NewLoaded(w, gc.NewCheney(64<<10))
-	m2.MaxInsns = 500_000_000
-	m2.MustEval(prog)
-	if err := w.Flush(); err != nil {
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	runCaptureProg(t, w)
 
-	// Replay into a fresh cache.
-	replayed := cache.New(cfg)
-	n, err := Replay(context.Background(), &buf, replayed)
+	sr, err := NewSharedReplayer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := cache.NewFusedBankWorkers(cfgs, 3)
+	n, err := sr.Run(context.Background(), replayed)
+	replayed.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("empty trace")
 	}
-	if live.S != replayed.S {
-		t.Errorf("replayed stats differ:\nlive:     %+v\nreplayed: %+v", live.S, replayed.S)
+	for i, lc := range live.Caches {
+		if rc := replayed.Caches[i]; lc.S != rc.S {
+			t.Errorf("%v: replayed stats differ:\nlive:     %+v\nreplayed: %+v", lc.Config(), lc.S, rc.S)
+		}
 	}
 }
