@@ -220,8 +220,8 @@ func main() {
 
 	// Span recording: a root "job" span brackets the whole invocation and
 	// the engine's stages (trace.lookup, replay, run.vm, …) nest under it
-	// via the context. The summary line on stderr is what
-	// bench_replay.sh's overhead gate parses.
+	// via the context. A summary line on stderr reports the recorder's
+	// span count and self-measured cost.
 	var (
 		spans    *telemetry.SpanRecorder
 		rootSpan *telemetry.ActiveSpan
@@ -266,7 +266,7 @@ func main() {
 	rootSpan.End()
 	if spans != nil {
 		// Self-measured recording cost, reported whether or not the run
-		// succeeded; the ≤2% overhead gate reads this line.
+		// succeeded.
 		core.Progress().Printf("spans: total=%d dropped=%d overhead=%.6fs",
 			spans.Total(), spans.Dropped(), spans.OverheadSeconds())
 	}

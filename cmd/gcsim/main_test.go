@@ -72,6 +72,9 @@ func TestStdoutByteIdenticalWithTelemetry(t *testing.T) {
 		if err := telemetry.ValidateRecordJSON(data); err != nil {
 			t.Errorf("-parallel %d record invalid: %v", parallel, err)
 		}
+		if f := recs[0].Telemetry.OverheadFraction; f > 0.02 {
+			t.Errorf("-parallel %d telemetry overhead %.4f of the run, above the 2%% budget", parallel, f)
+		}
 	}
 }
 

@@ -654,12 +654,6 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 		} else {
 			prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
 				w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
-			// The per-stage breakdown of the fused sweep: decode is paid once
-			// for all configurations; simulate is the fused kernel; merge is
-			// the per-chunk stat folding and snapshot checks. bench_replay.sh
-			// parses this line from the progress stream.
-			prog.Printf("replay stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d configs=%d path=fused",
-				sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), len(cfgs))
 		}
 
 		run := &RunResult{

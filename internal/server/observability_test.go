@@ -58,7 +58,7 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 	}
 	core.SetTraceCache(tc)
 	t.Cleanup(func() { core.SetTraceCache(nil) })
-	cl, _ := startObservedServer(t, tc)
+	cl, rec := startObservedServer(t, tc)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -152,6 +152,11 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 	if ratio := float64(stageSum) / float64(jobDur); ratio < 0.95 || ratio > 1.05 {
 		t.Errorf("stage durations sum to %.1f%% of job wall time (stages %d ns, job %d ns)",
 			ratio*100, stageSum, jobDur)
+	}
+	// Span recording must stay within 2% of the job it records.
+	if over, wall := rec.OverheadSeconds(), float64(jobDur)/1e9; over > 0.02*wall {
+		t.Errorf("span recording overhead %.6fs is %.2f%% of the %.3fs job, above the 2%% budget",
+			over, over/wall*100, wall)
 	}
 
 	// ---- metrics exposition ----
