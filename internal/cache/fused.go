@@ -4,12 +4,12 @@
 // channel hops. Each configuration's tag state lives in a struct-of-arrays
 // lane — a flat []uint64 tag array plus packed valid/dirty bitsets, one
 // arena per config (the same arrays the Cache owns, aliased, so the fused
-// and unfused paths share state and statistics) — and the hot loop keeps
-// every miss counter in registers, merging into the cache's Stats once per
-// chunk. Reference-kind totals (reads/writes, program/collector) depend
-// only on the chunk itself, so they are histogrammed once per chunk and
-// added to every lane instead of being branched on per reference per
-// config.
+// and unfused paths share state and statistics) — and the hot loop's hit
+// path runs in registers, counting misses in a small per-chunk array that
+// merges into the cache's Stats once per chunk. Reference-kind totals
+// (reads/writes, program/collector) depend only on the chunk itself, so
+// they are histogrammed once per chunk and added to every lane instead of
+// being branched on per reference per config.
 //
 // A bank built with more than one worker shards its lanes round-robin
 // across worker goroutines. The producer (the VM's reference pipeline or
@@ -39,8 +39,8 @@ import (
 
 // fusedLane is one configuration's slot in the fused store: the cache's
 // flat tag/valid/dirty arrays plus its geometry, hoisted so the simulate
-// loop touches no Cache fields, and the per-chunk miss-counter scratch the
-// merge pass folds into the cache's Stats.
+// loop touches no Cache fields, and the per-chunk event counts the merge
+// pass folds into the cache's Stats.
 type fusedLane struct {
 	c *Cache
 
@@ -48,17 +48,31 @@ type fusedLane struct {
 	valid []uint64 // aliases c.valid: per-word valid bits per block
 	dirty []uint64 // aliases c.dirty: dirty bits, packed 64 blocks per word
 
-	shift3   uint // blockShift - log2(WordBytes): word address -> block number
+	shift    uint // c.blockShift: byte address -> block number
 	wordMask uint64
 	fullMask uint64
 	fow      bool // fetch-on-write policy
 
 	// Per-chunk scratch, written by simulate and consumed by merge.
-	readMiss, writeMiss, writeAllocs uint64
-	gcReadMiss, gcWriteMiss          uint64
-	wb, gcwb                         uint64
-	fused                            bool // this chunk went through simulate
+	ev    [numEvents]uint64 // event counts, indexed by event kind
+	fused bool              // this chunk went through simulate
 }
+
+// Event kinds: the index of each per-chunk counter in fusedLane.ev. The
+// four fetching misses share refKinds' index, the packed ref's top two
+// bits (write<<1 | collector), so a miss path counts itself with
+// ev[r>>62]; the two write-back kinds are evWriteback plus the collector
+// bit.
+const (
+	evReadMiss    = iota // program read misses
+	evGCReadMiss         // collector read misses
+	evWriteMiss          // program write misses that fetched (fetch-on-write)
+	evGCWriteMiss        // collector write misses (always fetch)
+	evWriteAlloc         // program write misses that claimed without fetching
+	evWriteback          // dirty lines evicted by a program reference
+	evGCWriteback        // dirty lines evicted by a collector reference
+	numEvents
+)
 
 // newFusedLane hoists one cache's state and geometry into a lane.
 func newFusedLane(c *Cache) fusedLane {
@@ -67,7 +81,7 @@ func newFusedLane(c *Cache) fusedLane {
 		tags:     c.tags,
 		valid:    c.valid,
 		dirty:    c.dirty,
-		shift3:   c.blockShift - 3, // WordBytes == 8
+		shift:    c.blockShift,
 		wordMask: c.wordMask,
 		fullMask: c.fullMask,
 		fow:      c.cfg.Policy == FetchOnWrite,
@@ -78,11 +92,21 @@ func newFusedLane(c *Cache) fusedLane {
 // ref's top two bits (write<<1 | collector): 0 = program read, 1 =
 // collector read, 2 = program write, 3 = collector write. The totals are
 // a property of the chunk alone, so one histogram serves every lane.
-func refKinds(refs []mem.Ref) (k [4]uint64) {
+//
+// The loop keeps three register sums — writes, collector refs, and
+// collector writes — and derives the four counts from them, rather than
+// incrementing k[r>>62] in memory: that store feeds the next ref's load
+// whenever two neighbouring refs share a kind, a dependency chain through
+// memory on every reference.
+func refKinds(refs []mem.Ref) [4]uint64 {
+	var w, g, wg uint64
 	for _, r := range refs {
-		k[r>>62]++
+		w += uint64(r >> 63)
+		g += uint64(r>>62) & 1
+		wg += uint64(r>>63) & uint64(r>>62)
 	}
-	return k
+	n := uint64(len(refs))
+	return [4]uint64{n - w - g + wg, g - wg, w - wg, wg}
 }
 
 // run simulates one chunk through this lane. Caches with live
@@ -97,63 +121,80 @@ func (ln *fusedLane) run(refs []mem.Ref) {
 		ln.fused = false
 		return
 	}
-	ln.simulate(refs)
+	ln.ev = simulate(refs, ln)
 	ln.fused = true
 }
 
 // simulate is the fused hot loop: the direct-mapped write-validate /
-// fetch-on-write simulation of accessPlain, restructured so the common
-// case (tag match on a valid word) is a handful of ALU ops on flat
-// arrays, and every event counter stays in a register until the chunk is
-// done. It must remain semantically identical to Cache.accessPlain —
-// the golden fused-vs-serial equivalence tests enforce this bit for bit.
-func (ln *fusedLane) simulate(refs []mem.Ref) {
+// fetch-on-write simulation of accessPlain over one chunk, returning the
+// chunk's event counts indexed by event kind. It must remain semantically
+// identical to Cache.accessPlain — the golden fused-vs-serial equivalence
+// tests and FuzzFusedBankOracle enforce this bit for bit.
+//
+// The common case, a tag match on a valid word or a write to a matched
+// line, is built to stay in registers:
+//   - The event counts, and the geometry only a miss reads (fullMask,
+//     fow), live in the frame in one local struct that only the miss
+//     paths touch, so they take no registers from the hit path.
+//   - Every variable shift count is masked with 63, so the compiler emits
+//     a bare shift with no oversize-shift guard.
+//   - The block number and word offset come straight from the packed ref,
+//     with no 62-bit address-mask constant.
+//   - ln is dead once the loop starts (the counts are returned, not
+//     stored through it), and refs is the first parameter, so CX — the
+//     only register an amd64 variable shift count can use — arrives
+//     holding the slice's capacity, which is dead, rather than its length.
+//
+// That leaves 14 live values on the hit path — ten that live across the
+// loop (refs pointer, index and length; tags, valid and dirty; idxMask,
+// dwMask, shift, wordMask), plus the ref, its block number and index, and
+// the loaded tag — against amd64's 13 allocatable registers, so idxMask
+// is reloaded from the frame at the loop head. The hit path stores
+// nothing to the frame.
+func simulate(refs []mem.Ref, ln *fusedLane) [numEvents]uint64 {
 	tags := ln.tags
 	if len(tags) == 0 {
-		return
+		return [numEvents]uint64{}
 	}
 	idxMask := uint64(len(tags) - 1)
 	valid := ln.valid[:len(tags)]
 	dirty := ln.dirty
 	if len(dirty) == 0 {
-		return
+		return [numEvents]uint64{}
 	}
 	// len(dirty) is ceil(len(tags)/64), a power of two whenever len(tags)
 	// is — masking the dirty-word index is a no-op that lets the compiler
 	// drop the bounds check.
 	dwMask := uint64(len(dirty) - 1)
-	var (
-		shift3               = ln.shift3
-		wordMask             = ln.wordMask
-		fullMask             = ln.fullMask
-		fow                  = ln.fow
-		readMiss, gcReadMiss uint64
-		writeMiss, gcwMiss   uint64
-		writeAllocs          uint64
-		wb, gcwb             uint64
-	)
+	shift, wordMask := ln.shift, ln.wordMask
+	var miss struct {
+		ev       [numEvents]uint64
+		fullMask uint64
+		fow      bool
+	}
+	miss.fullMask, miss.fow = ln.fullMask, ln.fow
 	for _, r := range refs {
-		addr := r.Addr()
-		blockNum := addr >> shift3
+		// The block number of the byte address wordAddr*8, exactly as
+		// accessPlain takes it: shifting the packed ref left by 3 drops
+		// the two flag bits along with the byte address's carry out of
+		// bit 63. The word offset is the low bits of the ref itself.
+		blockNum := uint64(r<<3) >> (shift & 63)
 		idx := blockNum & idxMask
 		if tags[idx] == blockNum {
+			bit := uint64(1) << (uint64(r) & wordMask & 63)
 			if r&mem.RefWrite != 0 {
 				// Write hit (or write to a claimed line): validate the
 				// word, mark the block dirty, no event.
-				valid[idx] |= 1 << (addr & wordMask)
+				valid[idx] |= bit
 				dirty[(idx>>6)&dwMask] |= 1 << (idx & 63)
 				continue
 			}
-			if valid[idx]&(1<<(addr&wordMask)) != 0 {
+			if valid[idx]&bit != 0 {
 				continue // read hit
 			}
 			// Read of a word not yet validated in a claimed line: fetch.
-			valid[idx] = fullMask
-			if r&mem.RefCollector != 0 {
-				gcReadMiss++
-			} else {
-				readMiss++
-			}
+			valid[idx] = miss.fullMask
+			miss.ev[r>>62]++ // evReadMiss or evGCReadMiss
 			continue
 		}
 
@@ -161,47 +202,31 @@ func (ln *fusedLane) simulate(refs []mem.Ref) {
 		dw := (idx >> 6) & dwMask
 		db := uint64(1) << (idx & 63)
 		if dirty[dw]&db != 0 && tags[idx] != tagEmpty {
-			if r&mem.RefCollector != 0 {
-				gcwb++
-			} else {
-				wb++
-			}
+			miss.ev[evWriteback+(r>>62)&1]++
 		}
 		tags[idx] = blockNum
 		if r&mem.RefWrite == 0 {
 			dirty[dw] &^= db
-			valid[idx] = fullMask
-			if r&mem.RefCollector != 0 {
-				gcReadMiss++
-			} else {
-				readMiss++
-			}
+			valid[idx] = miss.fullMask
+			miss.ev[r>>62]++ // evReadMiss or evGCReadMiss
 			continue
 		}
 		dirty[dw] |= db
 		// The collector always fetches on write (paper, Section 6
 		// footnote); the program fetches only under FetchOnWrite.
-		if r&mem.RefCollector != 0 {
-			valid[idx] = fullMask
-			gcwMiss++
-			continue
-		}
-		if fow {
-			valid[idx] = fullMask
-			writeMiss++
+		if r&mem.RefCollector != 0 || miss.fow {
+			valid[idx] = miss.fullMask
+			miss.ev[r>>62]++ // evGCWriteMiss or evWriteMiss
 			continue
 		}
 		// Write-validate: claim the line, validate only the written word.
-		valid[idx] = 1 << (addr & wordMask)
-		writeAllocs++
+		valid[idx] = 1 << (uint64(r) & wordMask & 63)
+		miss.ev[evWriteAlloc]++
 	}
-	ln.readMiss, ln.gcReadMiss = readMiss, gcReadMiss
-	ln.writeMiss, ln.gcWriteMiss = writeMiss, gcwMiss
-	ln.writeAllocs = writeAllocs
-	ln.wb, ln.gcwb = wb, gcwb
+	return miss.ev
 }
 
-// merge folds the chunk's scratch counters and the shared kind histogram
+// merge folds the chunk's event counts and the shared kind histogram
 // into the cache's Stats. Instrumented lanes already counted themselves.
 func (ln *fusedLane) merge(k *[4]uint64) {
 	if !ln.fused {
@@ -212,13 +237,13 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 	s.GCReads += k[1]
 	s.Writes += k[2]
 	s.GCWrites += k[3]
-	s.ReadMisses += ln.readMiss
-	s.WriteMisses += ln.writeMiss
-	s.WriteAllocs += ln.writeAllocs
-	s.GCReadMisses += ln.gcReadMiss
-	s.GCWriteMisses += ln.gcWriteMiss
-	s.Writebacks += ln.wb
-	s.GCWritebacks += ln.gcwb
+	s.ReadMisses += ln.ev[evReadMiss]
+	s.WriteMisses += ln.ev[evWriteMiss]
+	s.WriteAllocs += ln.ev[evWriteAlloc]
+	s.GCReadMisses += ln.ev[evGCReadMiss]
+	s.GCWriteMisses += ln.ev[evGCWriteMiss]
+	s.Writebacks += ln.ev[evWriteback]
+	s.GCWritebacks += ln.ev[evGCWriteback]
 }
 
 // FusedBank simulates a whole sweep against one reference stream with the

@@ -74,6 +74,30 @@ func BenchmarkFusedLane(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(len(stream))/b.Elapsed().Seconds(), "refs/s")
 }
 
+// BenchmarkFusedGrid runs the Figure 1 grid — all 40 size × block
+// configurations, write policies alternating — over the synthetic stream
+// with the lanes inline, and reports the fused kernel's cost in ns per
+// config-ref, the unit of the benchmark harness's cache.ns_per_config_ref.
+// Building each bank (allocating and clearing its tag arrays) is not timed.
+func BenchmarkFusedGrid(b *testing.B) {
+	cfgs := SweepConfigs(WriteValidate)
+	for i := 1; i < len(cfgs); i += 2 {
+		cfgs[i].Policy = FetchOnWrite
+	}
+	stream := synthStream(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bank := NewFusedBank(cfgs)
+		b.StartTimer()
+		feedChunks(bank, stream)
+	}
+	b.StopTimer()
+	configRefs := float64(b.N) * float64(len(cfgs)) * float64(len(stream))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/configRefs, "ns/config-ref")
+}
+
 // BenchmarkFusedBankChunkBatch drives the replay entry point (stamped
 // chunks, snapshot checks live) to keep the decode-once fan-out honest.
 func BenchmarkFusedBankChunkBatch(b *testing.B) {

@@ -61,9 +61,12 @@ func benchConfigs() []Config {
 
 // feedChunks replays a stream through a BatchTracer in pipeline-sized
 // chunks, as Memory does.
-func feedChunks(t mem.BatchTracer, refs []mem.Ref) {
+func feedChunks(t mem.BatchTracer, refs []mem.Ref) { feedChunksOf(t, refs, mem.ChunkRefs) }
+
+// feedChunksOf replays refs through t in chunks of the given size.
+func feedChunksOf(t mem.BatchTracer, refs []mem.Ref, chunk int) {
 	for len(refs) > 0 {
-		n := min(len(refs), mem.ChunkRefs)
+		n := min(len(refs), chunk)
 		t.RefBatch(refs[:n])
 		refs = refs[n:]
 	}

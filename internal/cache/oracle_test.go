@@ -1,0 +1,234 @@
+package cache
+
+import (
+	"testing"
+
+	"gcsim/internal/mem"
+)
+
+// oracleCache is an independent model of one direct-mapped cache, written
+// from the paper's description rather than from Cache: a map from set
+// index to the resident line, division and remainder for the address
+// split, and no code shared with Cache. It is slow and plainly right, and
+// the fused kernel is checked against it.
+type oracleCache struct {
+	cfg   Config
+	lines map[uint64]*oracleLine // set index -> resident line; absent = empty
+	S     Stats
+}
+
+type oracleLine struct {
+	block uint64 // block number of the resident block
+	valid []bool // per word of the block: does it hold data?
+	dirty bool
+}
+
+func newOracleCache(cfg Config) *oracleCache {
+	return &oracleCache{cfg: cfg, lines: make(map[uint64]*oracleLine)}
+}
+
+// access simulates one reference to word address addr.
+func (o *oracleCache) access(addr uint64, write, collector bool) {
+	// Byte addresses are 64 bits wide, so the byte address of a word at or
+	// above 2^61 wraps modulo 2^64.
+	byteAddr := addr * mem.WordBytes
+	blockBytes := uint64(o.cfg.BlockBytes)
+	block := byteAddr / blockBytes
+	set := block % (uint64(o.cfg.SizeBytes) / blockBytes)
+	word := byteAddr % blockBytes / mem.WordBytes
+
+	s := &o.S
+	switch {
+	case collector && write:
+		s.GCWrites++
+	case collector:
+		s.GCReads++
+	case write:
+		s.Writes++
+	default:
+		s.Reads++
+	}
+
+	line := o.lines[set]
+	if line != nil && line.block == block {
+		if write {
+			line.valid[word] = true
+			line.dirty = true
+		} else if !line.valid[word] {
+			// A word of a write-validate claim that was never written.
+			line.fetch()
+			o.countReadMiss(collector)
+		}
+		return
+	}
+
+	// Miss: the occupant is evicted and, if dirty, written back.
+	if line != nil && line.dirty {
+		if collector {
+			s.GCWritebacks++
+		} else {
+			s.Writebacks++
+		}
+	}
+	line = &oracleLine{block: block, valid: make([]bool, blockBytes/mem.WordBytes), dirty: write}
+	o.lines[set] = line
+	switch {
+	case !write:
+		line.fetch()
+		o.countReadMiss(collector)
+	case collector: // the collector always fetches on write
+		line.fetch()
+		s.GCWriteMisses++
+	case o.cfg.Policy == FetchOnWrite:
+		line.fetch()
+		s.WriteMisses++
+	default: // write-validate: claim the line, validate the written word
+		line.valid[word] = true
+		s.WriteAllocs++
+	}
+}
+
+// fetch reads the whole block from memory: every word becomes valid.
+func (l *oracleLine) fetch() {
+	for w := range l.valid {
+		l.valid[w] = true
+	}
+}
+
+func (o *oracleCache) countReadMiss(collector bool) {
+	if collector {
+		o.S.GCReadMisses++
+	} else {
+		o.S.ReadMisses++
+	}
+}
+
+// oracleBases are the bases a fuzzed reference's address is an offset
+// from: the three regions, the word address just below 2^61 (whose byte
+// address is the last before the 64-bit wrap), and the top of the 62-bit
+// word-address range. Offsets reach 2^11 words, so the last two bases
+// alias each other after the wrap.
+var oracleBases = [5]uint64{
+	mem.StackBase,
+	mem.StaticBase,
+	mem.DynBase,
+	1<<61 - 1<<11,
+	1<<62 - 1<<11,
+}
+
+// decodeOracleInput turns fuzz bytes into a sweep and a reference stream:
+//
+//	byte 0      number of configurations, 1 + b%8
+//	byte 1      chunk size, 1 + b*16 refs
+//	2 per cfg   a: block 8<<(a%7) bytes (8..512), policy a>>7;
+//	            b: size 64<<(b%11) bytes (64 B..64 KiB), at least one block
+//	2 per ref   f: bit 0 write, bit 1 collector, bits 2-4 base (mod 5),
+//	            bits 5-7 offset bits 8-10; then offset bits 0-7
+func decodeOracleInput(data []byte) (cfgs []Config, chunk int, refs []mem.Ref) {
+	if len(data) < 2 {
+		return nil, 1, nil
+	}
+	n, chunk := 1+int(data[0]%8), 1+int(data[1])*16
+	data = data[2:]
+	for ; n > 0 && len(data) >= 2; n-- {
+		a, b := data[0], data[1]
+		data = data[2:]
+		block, size := 8<<(a%7), 64<<(b%11)
+		cfgs = append(cfgs, Config{SizeBytes: max(size, block), BlockBytes: block, Policy: WritePolicy(a >> 7)})
+	}
+	for ; len(data) >= 2; data = data[2:] {
+		f, lo := data[0], data[1]
+		addr := oracleBases[(f>>2)%8%5] + (uint64(f>>5)<<8 | uint64(lo))
+		refs = append(refs, mem.MakeRef(addr, f&1 != 0, f&2 != 0))
+	}
+	return cfgs, chunk, refs
+}
+
+// matchOracle requires the oracle, the serial Bank and the FusedBank,
+// inline and on two workers, to accumulate equal Stats for every config.
+func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
+	t.Helper()
+	want := make([]Stats, len(cfgs))
+	for i, cfg := range cfgs {
+		o := newOracleCache(cfg)
+		for _, r := range refs {
+			o.access(r.Addr(), r.Write(), r.Collector())
+		}
+		want[i] = o.S
+	}
+	check := func(name string, caches []*Cache) {
+		t.Helper()
+		for i, c := range caches {
+			if c.S != want[i] {
+				t.Fatalf("config %v: %s stats %+v, oracle %+v", cfgs[i], name, c.S, want[i])
+			}
+		}
+	}
+	serial := NewBank(cfgs)
+	feedChunksOf(serial, refs, chunk)
+	check("serial Bank", serial.Caches)
+	for _, workers := range []int{1, 2} {
+		fused := NewFusedBankWorkers(cfgs, workers)
+		feedChunksOf(fused, refs, chunk)
+		fused.Drain()
+		check("FusedBank", fused.Caches)
+	}
+}
+
+// oracleSeeds are the fuzz target's seed inputs: streams with locality in
+// every base over assorted geometries, and the 64-bit byte-address wrap.
+func oracleSeeds() [][]byte {
+	rng := uint64(0x2545F4914F6CDD1D)
+	next := func() byte {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return byte(rng)
+	}
+	var seeds [][]byte
+	for s := 0; s < 4; s++ {
+		data := []byte{7, byte(s * 60)}
+		for i := 0; i < 16; i++ {
+			data = append(data, next())
+		}
+		// Offsets wander within a small window, so lines are reused,
+		// claimed, dirtied and evicted.
+		for i, off := 0, 0; i < 1500; i++ {
+			off = (off + int(next()%16) - 7) & 0x7ff
+			f := next()&0x1f | byte(off>>8)<<5
+			data = append(data, f, byte(off))
+		}
+		seeds = append(seeds, data)
+	}
+	// One 16-byte-block cache. A program write at the top of the range,
+	// then a read of the word 2^61 below it: the same byte address, so a
+	// read hit on the claimed word, not a conflict miss.
+	const top, belowWrap = 4 << 2, 3 << 2
+	seeds = append(seeds, []byte{0, 0, 1, 4, top | 1, 5, belowWrap, 5, top, 4, belowWrap | 2, 5})
+	return seeds
+}
+
+// FuzzFusedBankOracle differential-fuzzes the simulate kernel against
+// the oracle over random geometries, write policies, chunkings and
+// reference streams with write and collector flags, at addresses from
+// the stack region to the top of the 62-bit range (decodeOracleInput).
+func FuzzFusedBankOracle(f *testing.F) {
+	for _, seed := range oracleSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfgs, chunk, refs := decodeOracleInput(data)
+		matchOracle(t, cfgs, refs, chunk)
+	})
+}
+
+// TestOracleMatchesFigure1Grid runs the oracle check over the paper's
+// 40-config grid, write policies alternating, on the realistic synthetic
+// stream, in the pipeline's chunk size.
+func TestOracleMatchesFigure1Grid(t *testing.T) {
+	cfgs := SweepConfigs(WriteValidate)
+	for i := 1; i < len(cfgs); i += 2 {
+		cfgs[i].Policy = FetchOnWrite
+	}
+	matchOracle(t, cfgs, synthStream(60_000), mem.ChunkRefs)
+}
