@@ -1,8 +1,9 @@
 // Command gcsimd serves the experiment harness over HTTP: a long-lived
 // daemon that accepts cache-sweep jobs, executes them on a bounded worker
-// pool through the resilient per-config engine, and shares one
-// content-addressed trace cache across every job — a reference stream is
-// recorded by the first job that needs it and replayed by all the rest.
+// pool through one checkpoint-driven shard loop over the resilient
+// per-config engine, and shares one content-addressed trace cache across
+// every job — a reference stream is recorded by the first job that needs
+// it and replayed by all the rest.
 //
 // API (JSON unless noted):
 //
@@ -17,11 +18,12 @@
 //	GET    /healthz             health probe: pool depth, store writable, trace-cache stat
 //	GET    /dashboard           live HTML dashboard (SSE-fed job table and stage latencies)
 //	GET    /dashboard/events    the dashboard's SSE feed
-//	GET    /castore/v1/blobs/{id}  this node's recorded trace blobs, by sha256
+//	GET    /castore/v1/blobs[/{id}]  this node's recorded trace blobs, by sha256 (castore.Handler)
 //	POST   /cluster/v1/workers  (coordinator) worker registration + heartbeat
 //	GET    /cluster/v1/workers  (coordinator) the fleet view
 //	POST   /cluster/v1/traces/{claim,publish}  (coordinator) record-exactly-once arbitration
-//	GET    /cluster/v1/blobs/{id}  (coordinator) any fleet trace by sha256, fan-out
+//	GET    /cluster/v1/blobs/{id}  (coordinator) any fleet trace by sha256: castore.Handler
+//	                            over the coordinator's store, copy-on-write over the live workers
 //
 // Jobs persist under the state directory and survive restarts: completed
 // configurations land in per-job checkpoint files as they finish, so a
@@ -37,16 +39,19 @@
 //	       [-node name] [-advertise url] [-heartbeat d]
 //	       [-verify-heap] [-drain-timeout d] [-debug-addr host:port] [-v]
 //
-// Cluster mode: a coordinator (-role coordinator) accepts jobs as usual
-// but shards each one's configuration matrix across the workers that
-// registered with it; workers (-role worker -peers <coordinator-url>)
+// Cluster mode: every role runs a job through the same shard loop. A
+// standalone daemon (or a worker) is a one-node cluster whose only node
+// is its own process; a coordinator (-role coordinator) accepts jobs as
+// usual but splits each one's configuration matrix across the workers
+// that registered with it; workers (-role worker -peers <coordinator-url>)
 // execute shards and resolve trace-cache misses through the fleet, so
 // every reference stream is recorded exactly once cluster-wide and
 // fetched by content hash everywhere else. Reports from a cluster sweep
 // are byte-identical to the same job on a single node. A worker that
-// dies mid-sweep is detected by missed heartbeats (or a failed dispatch)
-// and its configurations are re-sharded over the survivors, resuming
-// from the coordinator's checkpoints.
+// dies mid-sweep is detected by a failed dispatch (or missed heartbeats):
+// the job re-queues like a preempted one, and its next run re-shards
+// the configurations the coordinator's checkpoints do not hold over the
+// survivors.
 //
 // With -tenants, every /v1 route requires an API key from the config
 // file ({"tenants": [{"name", "key", "rate_per_sec", "burst",

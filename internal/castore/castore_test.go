@@ -3,6 +3,7 @@ package castore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -295,6 +296,49 @@ func TestUnionLaws(t *testing.T) {
 	u.List(ctx, func(ID) error { n++; return nil })
 	if n != 3 {
 		t.Fatalf("list saw %d blobs, want 3 deduplicated", n)
+	}
+}
+
+// failingStore errors on every call, like an unreachable peer.
+type failingStore struct{ err error }
+
+func (f failingStore) Post(context.Context, []byte) (ID, error)   { return ID{}, f.err }
+func (f failingStore) Get(context.Context, ID) ([]byte, error)    { return nil, f.err }
+func (f failingStore) Exists(context.Context, ID) (bool, error)   { return false, f.err }
+func (f failingStore) Delete(context.Context, ID) error           { return f.err }
+func (f failingStore) List(context.Context, func(ID) error) error { return f.err }
+
+// TestUnionSkipsErroringMember: a member that errors does not hide a
+// blob another member holds; its error surfaces only when no member
+// has the blob.
+func TestUnionSkipsErroringMember(t *testing.T) {
+	ctx := context.Background()
+	down := errors.New("peer unreachable")
+	live := NewMem()
+	id, _ := live.Post(ctx, []byte("held by the live member"))
+	u := NewUnion(failingStore{down}, live)
+
+	if ok, err := u.Exists(ctx, id); err != nil || !ok {
+		t.Fatalf("exists past an erroring member = %v, %v", ok, err)
+	}
+	if _, err := u.Get(ctx, id); err != nil {
+		t.Fatalf("get past an erroring member: %v", err)
+	}
+	rc, err := u.Open(ctx, id)
+	if err != nil {
+		t.Fatalf("open past an erroring member: %v", err)
+	}
+	rc.Close()
+
+	missing := Sum([]byte("nowhere"))
+	if ok, err := u.Exists(ctx, missing); ok || err != down {
+		t.Fatalf("exists absent = %v, %v; want false with the member's error", ok, err)
+	}
+	if _, err := u.Get(ctx, missing); err != down {
+		t.Fatalf("get absent: %v, want the member's error", err)
+	}
+	if _, err := u.Open(ctx, missing); err != down {
+		t.Fatalf("open absent: %v, want the member's error", err)
 	}
 }
 

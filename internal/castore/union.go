@@ -6,9 +6,10 @@ import (
 )
 
 // Union is a read-only view over several stores: reads try each
-// member in order. The coordinator uses a union of its own store and
-// every registered worker to serve any trace recorded anywhere in the
-// fleet.
+// member in order. A member that errors (an unreachable peer) is
+// skipped, and its error surfaces only when no other member has the
+// blob. The coordinator uses a union of every live worker to serve any
+// trace recorded anywhere in the fleet.
 type Union []Store
 
 // NewUnion returns a read-only union of the given stores.
@@ -20,29 +21,31 @@ func (u Union) Post(ctx context.Context, data []byte) (ID, error) {
 }
 
 func (u Union) Get(ctx context.Context, id ID) ([]byte, error) {
+	miss := ErrNotFound
 	for _, s := range u {
 		data, err := s.Get(ctx, id)
 		if err == nil {
 			return data, nil
 		}
-		if err != ErrNotFound {
-			return nil, err
+		if miss == ErrNotFound {
+			miss = err
 		}
 	}
-	return nil, ErrNotFound
+	return nil, miss
 }
 
 func (u Union) Exists(ctx context.Context, id ID) (bool, error) {
+	var miss error
 	for _, s := range u {
 		ok, err := s.Exists(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		if ok {
+		if ok && err == nil {
 			return true, nil
 		}
+		if miss == nil {
+			miss = err
+		}
 	}
-	return false, nil
+	return false, miss
 }
 
 // Delete is not supported; unions are read-only.
@@ -54,14 +57,15 @@ func (u Union) List(ctx context.Context, fn func(ID) error) error {
 
 // Open streams from the first member holding the blob.
 func (u Union) Open(ctx context.Context, id ID) (io.ReadSeekCloser, error) {
+	miss := ErrNotFound
 	for _, s := range u {
-		ok, err := s.Exists(ctx, id)
-		if err != nil {
-			return nil, err
+		rc, err := Open(ctx, s, id)
+		if err == nil {
+			return rc, nil
 		}
-		if ok {
-			return Open(ctx, s, id)
+		if miss == ErrNotFound {
+			miss = err
 		}
 	}
-	return nil, ErrNotFound
+	return nil, miss
 }

@@ -343,6 +343,67 @@ func TestLoadSheddingAndOverloadedHealth(t *testing.T) {
 	}
 }
 
+// cancelQueued submits a job that stays queued (the server is never
+// started) and cancels it.
+func cancelQueued(t *testing.T, base, key string) {
+	t.Helper()
+	resp, msg, job := rawSubmit(t, base, key, quickSpec(""))
+	if resp.StatusCode != http.StatusAccepted || job == nil {
+		t.Fatalf("submit: status=%d msg=%q, want 202", resp.StatusCode, msg)
+	}
+	if got := doKeyed(t, http.MethodDelete, base+"/v1/jobs/"+job.ID, key); got.StatusCode != http.StatusOK {
+		t.Fatalf("cancel %s: status=%d, want 200", job.ID, got.StatusCode)
+	}
+}
+
+func TestCancelledQueuedJobReleasesTenantQuota(t *testing.T) {
+	_, hs := newTenantServer(t, `{"tenants": [{"name": "lab", "key": "k", "max_queued": 1}]}`, 0)
+	cancelQueued(t, hs.URL, "k")
+
+	// The cancelled job left the backlog, so the quota has room again.
+	resp, msg, _ := rawSubmit(t, hs.URL, "k", quickSpec(""))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after cancelling the queued job: status=%d msg=%q, want 202", resp.StatusCode, msg)
+	}
+	page := readBody(t, mustGet(t, hs.URL+"/metrics"))
+	if got := metricValue(t, page, `gcsimd_tenant_jobs_queued{tenant="lab"}`); got != 1 {
+		t.Errorf(`gcsimd_tenant_jobs_queued{tenant="lab"} = %v, want 1 (the live job only)`, got)
+	}
+}
+
+func TestCancelledQueuedJobsLeaveTheHighWaterMark(t *testing.T) {
+	_, hs := newTenantServer(t, `{"tenants": [{"name": "lab", "key": "k"}]}`, 2)
+	cancelQueued(t, hs.URL, "k")
+	cancelQueued(t, hs.URL, "k")
+
+	// Two cancelled jobs are no backlog: the next submission is not shed.
+	resp, msg, _ := rawSubmit(t, hs.URL, "k", quickSpec(""))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after cancelling two queued jobs: status=%d msg=%q, want 202", resp.StatusCode, msg)
+	}
+	var h server.Health
+	hresp := mustGet(t, hs.URL+"/healthz")
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if h.QueueDepth != 1 || h.Status != "ok" {
+		t.Errorf("/healthz status=%q queue_depth=%d, want ok with depth 1", h.Status, h.QueueDepth)
+	}
+	if got := metricValue(t, readBody(t, mustGet(t, hs.URL+"/metrics")), "gcsimd_jobs_queued"); got != 1 {
+		t.Errorf("gcsimd_jobs_queued = %v, want 1", got)
+	}
+}
+
+func mustGet(t *testing.T, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestClientRetriesWithRetryAfter(t *testing.T) {
 	job := server.Job{Schema: server.JobSchema, ID: "j123", State: server.StateQueued}
 	var attempts, sawKey int

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,22 +11,23 @@ import (
 	"sync/atomic"
 	"time"
 
-	"io"
-
 	"gcsim/internal/cache"
 	"gcsim/internal/castore"
 	"gcsim/internal/core"
+	"gcsim/internal/gc"
 	"gcsim/internal/workloads"
 )
 
-// The cluster fabric, coordinator side. A coordinator is a normal gcsimd
-// that additionally: keeps a registry of workers (registered and kept
-// alive over POST /cluster/v1/workers heartbeats), shards each job's
-// configuration list across the live workers and re-shards when one
-// dies, arbitrates trace recording fleet-wide (claim/publish, so every
-// reference stream is recorded exactly once no matter which node needed
-// it first), and serves any recorded trace by content hash — from its
-// own store when the publish replication already pulled it home, by
+// The cluster fabric, coordinator side, and the shard loop every job
+// runs through. A coordinator is a normal gcsimd that additionally: keeps
+// a registry of workers (registered and kept alive over POST
+// /cluster/v1/workers heartbeats), sends each job's shards to the live
+// workers rather than to its own process (a worker lost mid-shard
+// re-queues the job, whose next run re-shards what the checkpoint does
+// not hold), arbitrates trace recording fleet-wide (claim/publish, so
+// every reference stream is recorded exactly once no matter which node
+// needed it first), and serves any recorded trace by content hash — from
+// its own store when the publish replication already pulled it home, by
 // asking the live workers otherwise. Workers never talk to each other;
 // every cross-node byte moves through the coordinator, which keeps the
 // fetch graph loop-free (nodes serve only their local layer, see
@@ -151,11 +153,13 @@ func newClusterState(deadAfter time.Duration) *clusterState {
 	}
 }
 
-// hello registers or refreshes a worker.
-func (cs *clusterState) hello(h workerHello) {
+// hello registers or refreshes a worker, reporting whether the name is
+// new to the registry.
+func (cs *clusterState) hello(h workerHello) (registered bool) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	w := cs.workers[h.Name]
+	registered = w == nil
 	if w == nil || w.url != h.URL {
 		w = &clusterWorker{
 			name:   h.Name,
@@ -169,6 +173,7 @@ func (cs *clusterState) hello(h workerHello) {
 	w.lastSeen = time.Now()
 	w.dead = false
 	w.stats = h.Stats
+	return registered
 }
 
 // markDead records a dispatch transport failure. The worker stays dead
@@ -200,6 +205,15 @@ func (cs *clusterState) aliveWorkers() []*clusterWorker {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// blobs is the union of the live workers' blob stores.
+func (cs *clusterState) blobs() castore.Union {
+	var u castore.Union
+	for _, w := range cs.aliveWorkers() {
+		u = append(u, w.blobs)
+	}
+	return u
 }
 
 // views snapshots every registered worker for the API and dashboard.
@@ -280,7 +294,7 @@ func (s *Server) registerClusterRoutes() {
 	s.mux.HandleFunc("GET /cluster/v1/workers", s.handleWorkerList)
 	s.mux.HandleFunc("POST /cluster/v1/traces/claim", s.handleTraceClaim)
 	s.mux.HandleFunc("POST /cluster/v1/traces/publish", s.handleTracePublish)
-	s.mux.HandleFunc("GET /cluster/v1/blobs/{id}", s.handleClusterBlob)
+	s.mux.Handle("GET /cluster/v1/blobs/{id}", http.StripPrefix("/cluster/v1/blobs", http.HandlerFunc(s.handleClusterBlob)))
 }
 
 func (s *Server) handleWorkerHello(w http.ResponseWriter, r *http.Request) {
@@ -293,13 +307,7 @@ func (s *Server) handleWorkerHello(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "worker hello needs name and url")
 		return
 	}
-	first := func() bool {
-		s.cluster.mu.Lock()
-		defer s.cluster.mu.Unlock()
-		return s.cluster.workers[h.Name] == nil
-	}()
-	s.cluster.hello(h)
-	if first {
+	if s.cluster.hello(h) {
 		s.logf("cluster: worker %s registered at %s", h.Name, h.URL)
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -359,291 +367,252 @@ func (s *Server) handleTracePublish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// replicateBlob pulls id into the coordinator's local store from the
-// named worker (content-verified by the HTTP store client). A blob
-// already home is a no-op, so re-publishes are idempotent.
+// replicateBlob pulls id home from the named worker: a copy-on-write
+// read over the coordinator's store, so a blob already home is a no-op
+// and re-publishes are idempotent.
 func (s *Server) replicateBlob(ctx context.Context, id castore.ID, node string) error {
-	local := s.cfg.TraceCache.LocalBlobs()
-	if ok, err := local.Exists(ctx, id); err == nil && ok {
-		return nil
-	}
 	s.cluster.mu.Lock()
 	w := s.cluster.workers[node]
 	s.cluster.mu.Unlock()
 	if w == nil {
 		return fmt.Errorf("unknown worker %q", node)
 	}
-	data, err := w.blobs.Get(ctx, id)
+	home := castore.NewCOW(s.cfg.TraceCache.LocalBlobs(), w.blobs)
+	rc, err := home.Open(ctx, id) // pulls the blob through when it is not home yet
 	if err != nil {
 		return err
 	}
-	if _, err := local.Post(ctx, data); err != nil {
-		return err
-	}
-	s.cluster.blobReplications.Add(1)
-	return nil
+	s.cluster.blobReplications.Add(home.Pulls())
+	return rc.Close()
 }
 
-// handleClusterBlob serves GET /cluster/v1/blobs/{id}: the coordinator's
-// local store first, then a fan-out over the live workers. A blob found
-// remotely is pulled home before it is served, so each fleet blob
-// crosses the network to the coordinator at most once.
+// handleClusterBlob serves GET /cluster/v1/blobs/{id}: castore's handler
+// over the coordinator's store, copy-on-write over the union of the live
+// workers. A blob found remotely is pulled home before it is served, so
+// each fleet blob crosses the network to the coordinator at most once.
 func (s *Server) handleClusterBlob(w http.ResponseWriter, r *http.Request) {
-	id, err := castore.ParseID(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad blob id")
-		return
-	}
-	ctx := r.Context()
-	local := s.cfg.TraceCache.LocalBlobs()
-	if ok, _ := local.Exists(ctx, id); !ok {
-		if !s.pullFromFleet(ctx, id) {
-			httpError(w, http.StatusNotFound, "blob %s not found anywhere in the fleet", id)
-			return
-		}
-	}
-	if r.Method == http.MethodHead {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	serveBlob(w, r, local, id)
-}
-
-// pullFromFleet tries each live worker for id and stores the first hit
-// locally. False means no live worker has it.
-func (s *Server) pullFromFleet(ctx context.Context, id castore.ID) bool {
-	local := s.cfg.TraceCache.LocalBlobs()
-	for _, w := range s.cluster.aliveWorkers() {
-		ok, err := w.blobs.Exists(ctx, id)
-		if err != nil || !ok {
-			continue
-		}
-		data, err := w.blobs.Get(ctx, id)
-		if err != nil {
-			continue
-		}
-		if _, err := local.Post(ctx, data); err != nil {
-			return false
-		}
-		s.cluster.blobFanout.Add(1)
-		return true
-	}
-	return false
-}
-
-// ---- every-node blob surface ---------------------------------------------
-
-// registerBlobRoutes serves this node's local blob layer read-only at
-// /castore/v1/blobs. Every node (standalone included) exposes it when a
-// trace cache is configured; peers fetch traces by hash from here.
-// GET-registered patterns also answer HEAD.
-func (s *Server) registerBlobRoutes() {
-	s.mux.HandleFunc("GET /castore/v1/blobs", s.handleBlobList)
-	s.mux.HandleFunc("GET /castore/v1/blobs/{id}", s.handleBlobGet)
-}
-
-func (s *Server) handleBlobList(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = s.cfg.TraceCache.LocalBlobs().List(r.Context(), func(id castore.ID) error {
-		_, err := fmt.Fprintln(w, id.String())
-		return err
-	})
-}
-
-func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	id, err := castore.ParseID(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad blob id")
-		return
-	}
-	local := s.cfg.TraceCache.LocalBlobs()
-	if r.Method == http.MethodHead {
-		if ok, err := local.Exists(r.Context(), id); err != nil || !ok {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	serveBlob(w, r, local, id)
-}
-
-// serveBlob streams one blob (404 when absent).
-func serveBlob(w http.ResponseWriter, r *http.Request, store castore.Store, id castore.ID) {
-	rc, err := castore.Open(r.Context(), store, id)
-	if err == castore.ErrNotFound {
-		httpError(w, http.StatusNotFound, "blob %s not found", id)
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = io.Copy(w, rc)
+	fleet := castore.NewCOW(s.cfg.TraceCache.LocalBlobs(), s.cluster.blobs())
+	castore.Handler(fleet).ServeHTTP(w, r)
+	s.cluster.blobFanout.Add(fleet.Pulls())
 }
 
 // ---- sharded execution ---------------------------------------------------
 
-// shardOutcome is what one dispatched shard came back with.
-type shardOutcome struct {
-	worker  string
-	indices []int // global config indices, in shard order
-	job     *Job
-	err     error
+// errWorkerLost ends a run whose shard was lost in transport. finishJob
+// treats it like core.ErrPreempted: the job re-queues, and its next run
+// re-shards whatever the checkpoint does not hold.
+var errWorkerLost = errors.New("server: worker lost mid-shard")
+
+// jobRun is one run of a job's sweep, the one execution path for every
+// role: the job's identity plus the outcome slots, in input order, that
+// every node's shard fills through one commit path.
+type jobRun struct {
+	s       *Server
+	id      string
+	spec    JobSpec
+	w       *workloads.Workload
+	mkCol   func() gc.Collector
+	colName string
+	cfgs    []cache.Config
+	ck      *core.Checkpoint
+
+	scale    int
+	mu       sync.Mutex
+	done     int // results committed by this run
+	results  []*core.ConfigResult
+	failures []*core.RunFailure
 }
 
-// runClusterSweep executes one job by sharding its configurations across
-// the live workers. Each round: reload whatever the coordinator's own
-// checkpoint already holds (a previous round's commits, or a previous
-// process's — those results carry FromCheckpoint, exactly like a local
-// resume), split the still-pending configurations contiguously across
-// the live workers, dispatch each shard as a sub-job, and commit results
-// as shards finish. A shard that fails in transport marks its worker
-// dead and leaves its configurations pending; the next round re-shards
-// them over whoever is still alive. A shard that fails on the worker
-// (a real job failure) fails the whole job — it would fail anywhere.
-//
-// The assembled sweep keeps the input configuration order and passes the
-// engine's cross-node consistency check, so the rendered report is
-// byte-identical to the same job run on a single node.
-func (s *Server) runClusterSweep(ctx context.Context, w *workloads.Workload, spec JobSpec, cfgs []cache.Config, colName string, ck *core.Checkpoint, onResult func(core.ConfigResult)) (*core.PerConfigSweep, error) {
-	scale := spec.Scale
-	if scale == 0 {
-		scale = w.DefaultScale
+// run executes the sweep. Configurations the job's checkpoint holds
+// reload with FromCheckpoint set; the pending rest is split contiguously
+// across the nodes — this process on a standalone or worker node (a
+// one-node cluster), the live registered workers on a coordinator.
+// Every result commits through jobRun.commit, and the assembled sweep
+// keeps input order and passes the engine's consistency check, so the
+// report is byte-identical whichever nodes ran it. A lost worker ends
+// the run with errWorkerLost.
+func (jr *jobRun) run(ctx context.Context) (*core.PerConfigSweep, error) {
+	if jr.scale = jr.spec.Scale; jr.scale == 0 {
+		jr.scale = jr.w.DefaultScale
 	}
-	sweep := &core.PerConfigSweep{Workload: w.Name, Scale: scale, Collector: colName}
-	results := make([]*core.ConfigResult, len(cfgs))
-
-	var commitMu sync.Mutex
-	commit := func(o *shardOutcome) (int, error) {
-		commitMu.Lock()
-		defer commitMu.Unlock()
-		fresh := 0
-		for j, r := range o.job.Results {
-			if j >= len(o.indices) {
-				return fresh, fmt.Errorf("server: shard on %s returned %d results for %d configs", o.worker, len(o.job.Results), len(o.indices))
-			}
-			cr, err := resultToCore(r)
-			if err != nil {
-				return fresh, err
-			}
-			i := o.indices[j]
-			if cr.Config != cfgs[i] {
-				return fresh, fmt.Errorf("server: shard on %s returned config %s where %s was dispatched", o.worker, cr.Config, cfgs[i])
-			}
-			cr.FromCheckpoint = false
-			if err := ck.Save(w.Name, scale, colName, cr); err != nil {
-				return fresh, err
-			}
-			results[i] = &cr
-			fresh++
-			if onResult != nil {
-				onResult(cr)
-			}
-		}
-		return fresh, nil
-	}
-
-	for round := 0; ; round++ {
-		// Resume from the coordinator's checkpoint. Everything already
-		// committed — by an earlier round, or by an earlier process —
-		// reloads with FromCheckpoint set, the same contract as a local
-		// resumed sweep.
-		var pending []int
-		for i, cfg := range cfgs {
-			if res, ok, err := ck.Load(w.Name, scale, colName, cfg); err != nil {
-				return sweep, err
-			} else if ok {
-				results[i] = &res
-				continue
-			}
-			if results[i] == nil {
-				pending = append(pending, i)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-
-		alive, err := s.waitForWorkers(ctx)
+	jr.results = make([]*core.ConfigResult, len(jr.cfgs))
+	jr.failures = make([]*core.RunFailure, len(jr.cfgs))
+	sweep := &core.PerConfigSweep{Workload: jr.w.Name, Scale: jr.scale, Collector: jr.colName}
+	var pending []int
+	for i, cfg := range jr.cfgs {
+		res, ok, err := jr.ck.Load(jr.w.Name, jr.scale, jr.colName, cfg)
 		if err != nil {
 			return sweep, err
 		}
-		shards := splitShards(pending, len(alive))
-		s.logf("cluster: round %d: %d configs across %d workers", round, len(pending), len(shards))
-
-		outcomes := make([]*shardOutcome, len(shards))
-		var wg sync.WaitGroup
-		for k, shard := range shards {
-			wg.Add(1)
-			go func(k int, shard []int, worker *clusterWorker) {
-				defer wg.Done()
-				o := &shardOutcome{worker: worker.name, indices: shard}
-				outcomes[k] = o
-				shardSpec := JobSpec{
-					Workload:  spec.Workload,
-					Scale:     spec.Scale,
-					GC:        spec.GC,
-					GCOptions: spec.GCOptions,
-					Retries:   spec.Retries,
-					Label:     fmt.Sprintf("%s/shard-%d", spec.Label, k),
-					Priority:  spec.Priority,
-				}
-				for _, i := range shard {
-					shardSpec.Configs = append(shardSpec.Configs, spec.Configs[i])
-				}
-				s.cluster.shardsDispatched.Add(1)
-				o.job, o.err = worker.client.Run(ctx, shardSpec, nil)
-			}(k, shard, alive[k])
-		}
-		wg.Wait()
-
-		progressed := 0
-		for _, o := range outcomes {
-			switch {
-			case o.err != nil && ctx.Err() != nil:
-				// Cancellation (drain, API cancel, preemption): surface it
-				// with the cause so finishJob classifies it exactly as it
-				// would a local sweep's.
-				return s.assemble(sweep, results), core.WithCause(ctx, o.err)
-			case o.err != nil:
-				// Transport-level failure: the worker is unreachable (or
-				// died mid-stream). Its configurations stay pending and
-				// the next round re-shards them.
-				s.cluster.markDead(o.worker)
-				s.cluster.reshards.Add(1)
-				s.logf("cluster: worker %s lost mid-shard (%v), re-sharding %d configs", o.worker, o.err, len(o.indices))
-				progressed++ // topology changed; the next round has work to do
-			case o.job.State != StateDone:
-				return s.assemble(sweep, results), fmt.Errorf("server: shard on %s %s: %s", o.worker, o.job.State, o.job.Error)
-			default:
-				fresh, err := commit(o)
-				if err != nil {
-					return s.assemble(sweep, results), err
-				}
-				progressed += fresh
-			}
-		}
-		if progressed == 0 {
-			return s.assemble(sweep, results), fmt.Errorf("server: cluster sweep made no progress in round %d (%d configs pending)", round, len(pending))
+		if ok {
+			jr.results[i] = &res
+		} else {
+			pending = append(pending, i)
 		}
 	}
 
-	s.assemble(sweep, results)
+	err := jr.dispatch(ctx, pending)
+	for i := range jr.cfgs {
+		if r := jr.results[i]; r != nil {
+			sweep.Results = append(sweep.Results, *r)
+		}
+		if f := jr.failures[i]; f != nil {
+			sweep.Failures = append(sweep.Failures, f)
+		}
+	}
+	if err != nil {
+		return sweep, err
+	}
 	return sweep, sweep.CheckConsistency()
 }
 
-// assemble fills the sweep's results in input configuration order.
-func (s *Server) assemble(sweep *core.PerConfigSweep, results []*core.ConfigResult) *core.PerConfigSweep {
-	sweep.Results = sweep.Results[:0]
-	for _, r := range results {
-		if r != nil {
-			sweep.Results = append(sweep.Results, *r)
+// dispatch runs the pending configurations, one shard per node, and
+// joins the shards' errors once every shard is back.
+func (jr *jobRun) dispatch(ctx context.Context, pending []int) error {
+	nodes := []*clusterWorker{nil} // nil: this process
+	if jr.s.cluster != nil && len(pending) > 0 {
+		alive, err := jr.s.waitForWorkers(ctx)
+		if err != nil {
+			return err
+		}
+		nodes = alive
+	}
+	shards := splitShards(pending, len(nodes))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for k, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if nodes[k] == nil {
+				errs[k] = jr.runLocal(ctx, shard)
+			} else {
+				errs[k] = jr.runRemote(ctx, k, shard, nodes[k])
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// runLocal runs a shard in this process through the engine's resilient
+// per-config sweep. The engine gets no checkpoint: run already loaded it
+// and commit saves each result, so the checkpoint I/O is one Load per
+// configuration and one Save per computed result.
+func (jr *jobRun) runLocal(ctx context.Context, shard []int) error {
+	sub := make([]cache.Config, len(shard))
+	for k, i := range shard {
+		sub[k] = jr.cfgs[i]
+	}
+	var commitErr error
+	var once sync.Once
+	sw, err := core.RunSweepPerConfig(ctx, jr.w, jr.scale, sub, core.PerConfigSweepOpts{
+		MakeCollector: jr.mkCol,
+		Retries:       jr.spec.Retries,
+		OnResult: func(r core.ConfigResult) {
+			if err := jr.commit(shard, r); err != nil {
+				once.Do(func() { commitErr = err })
+			}
+		},
+		// This node's own cache, not the process global: several
+		// cluster nodes can share one process (tests do), each with
+		// its own store. Nil falls back to the global, as before.
+		TraceCache: jr.s.cfg.TraceCache,
+	})
+	for _, f := range sw.Failures {
+		err = errors.Join(err, jr.fail(shard, f))
+	}
+	return errors.Join(commitErr, err)
+}
+
+// runRemote dispatches a shard to a worker as a sub-job and commits what
+// it returns through the same path as a local shard. A transport failure
+// marks the worker dead and ends the run with errWorkerLost. A shard the
+// worker failed without accounting for every configuration fails the
+// job: it would fail anywhere.
+func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *clusterWorker) error {
+	cs, sub := jr.s.cluster, jr.spec
+	sub.Label = fmt.Sprintf("%s/shard-%d", sub.Label, k)
+	sub.Configs = nil
+	for _, i := range shard {
+		sub.Configs = append(sub.Configs, jr.spec.Configs[i])
+	}
+	cs.shardsDispatched.Add(1)
+	job, err := wk.client.Run(ctx, sub, nil)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		// Cancellation (drain, API cancel, preemption): surface it with
+		// the cause so finishJob classifies it as it would a local one.
+		return core.WithCause(ctx, err)
+	case err != nil:
+		cs.markDead(wk.name)
+		cs.reshards.Add(1)
+		jr.s.logf("cluster: worker %s lost mid-shard (%v), re-queueing job %s to re-shard %d configs", wk.name, err, jr.id, len(shard))
+		return fmt.Errorf("%w: %s: %v", errWorkerLost, wk.name, err)
+	}
+	for _, r := range job.Results {
+		cr, err := resultToCore(r)
+		if err == nil {
+			err = jr.commit(shard, cr)
+		}
+		if err != nil {
+			return fmt.Errorf("server: shard on %s: %w", wk.name, err)
 		}
 	}
-	return sweep
+	for _, f := range job.Failures {
+		rf := &core.RunFailure{Workload: jr.w.Name, Collector: jr.colName, Config: f.Config, Attempts: f.Attempts, Err: errors.New(f.Error)}
+		if err := jr.fail(shard, rf); err != nil {
+			return fmt.Errorf("server: shard on %s: %w", wk.name, err)
+		}
+	}
+	if len(job.Results)+len(job.Failures) < len(shard) {
+		return fmt.Errorf("server: shard on %s %s: %s", wk.name, job.State, job.Error)
+	}
+	return nil
+}
+
+// commit is the one path a computed result takes, whichever node ran it:
+// checkpointed, placed in its input-order slot, and announced.
+func (jr *jobRun) commit(shard []int, r core.ConfigResult) error {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	i, ok := jr.slot(shard, r.Config.String())
+	if !ok {
+		return fmt.Errorf("returned %s, which was not dispatched", r.Config)
+	}
+	r.FromCheckpoint = false
+	if err := jr.ck.Save(jr.w.Name, jr.scale, jr.colName, r); err != nil {
+		return err
+	}
+	jr.results[i] = &r
+	jr.done++
+	jr.s.metrics.ConfigsCompleted.Add(1)
+	jr.s.metrics.RefsReplayed.Add(r.CacheStats.Refs() + r.CacheStats.GCReads + r.CacheStats.GCWrites)
+	jr.s.hub.publish(Event{Type: "config", Job: jr.id, Config: r.Config.String(), Done: jr.done, Total: len(jr.cfgs)})
+	return nil
+}
+
+// fail records a configuration that exhausted its retry budget.
+func (jr *jobRun) fail(shard []int, f *core.RunFailure) error {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	i, ok := jr.slot(shard, f.Config)
+	if !ok {
+		return fmt.Errorf("reported %s failed, which was not dispatched", f.Config)
+	}
+	jr.failures[i] = f
+	return nil
+}
+
+// slot finds the first configuration of shard named cfg that has no
+// outcome yet, so duplicate configurations each get their own slot.
+func (jr *jobRun) slot(shard []int, cfg string) (int, bool) {
+	for _, i := range shard {
+		if jr.results[i] == nil && jr.failures[i] == nil && jr.cfgs[i].String() == cfg {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // waitForWorkers returns the live workers, waiting (bounded) for the

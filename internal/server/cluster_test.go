@@ -82,13 +82,20 @@ func startNode(t *testing.T, cfg server.Config, middleware func(http.Handler) ht
 	return n
 }
 
-// startCluster boots a coordinator and workers (worker i wrapped by
-// middlewares[i] when given), then waits until every worker has
-// registered.
+// startCluster boots a coordinator with a one-worker pool and workers
+// (worker i wrapped by middlewares[i] when given), then waits until
+// every worker has registered.
 func startCluster(t *testing.T, nWorkers int, middlewares map[int]func(http.Handler) http.Handler) (*clusterNode, []*clusterNode) {
 	t.Helper()
+	return startClusterPool(t, 1, nWorkers, middlewares)
+}
+
+// startClusterPool is startCluster with coordPool pool workers on the
+// coordinator.
+func startClusterPool(t *testing.T, coordPool, nWorkers int, middlewares map[int]func(http.Handler) http.Handler) (*clusterNode, []*clusterNode) {
+	t.Helper()
 	coord := startNode(t, server.Config{
-		Workers:         1,
+		Workers:         coordPool,
 		Role:            server.RoleCoordinator,
 		WorkerDeadAfter: 500 * time.Millisecond,
 	}, nil)
@@ -237,10 +244,22 @@ func TestClusterSweepByteIdenticalAndRecordsOnce(t *testing.T) {
 }
 
 func TestClusterWorkerDeathReshardsFromCheckpoint(t *testing.T) {
-	// Worker 1 dies the moment it accepts its shard: the submit is
-	// served, then every connection is severed and heartbeats stop. The
-	// coordinator must mark it dead, re-shard its configurations onto
-	// worker 0, and resume the finished ones from its own checkpoints.
+	workerDeathReshards(t, 1)
+}
+
+// TestClusterWorkerDeathTwoPoolWorkers runs the worker-death scenario
+// with the coordinator's default pool of two: the job re-queued after the
+// loss is picked up at once by the idle pool worker, which must run it.
+func TestClusterWorkerDeathTwoPoolWorkers(t *testing.T) {
+	workerDeathReshards(t, 2)
+}
+
+// workerDeathReshards: worker 1 dies the moment it accepts its shard:
+// the submit is served, then every connection is severed and heartbeats
+// stop. The coordinator (coordPool pool workers) must mark it dead,
+// re-shard its configurations onto worker 0, and resume the finished
+// ones from its own checkpoints.
+func workerDeathReshards(t *testing.T, coordPool int) {
 	killed := make(chan struct{})
 	var once sync.Once
 	var victim *clusterNode
@@ -252,7 +271,7 @@ func TestClusterWorkerDeathReshardsFromCheckpoint(t *testing.T) {
 			}
 		})
 	}
-	coord, workers := startCluster(t, 2, map[int]func(http.Handler) http.Handler{1: middleware})
+	coord, workers := startClusterPool(t, coordPool, 2, map[int]func(http.Handler) http.Handler{1: middleware})
 	victim = workers[1]
 	go func() {
 		<-killed

@@ -6,6 +6,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -264,6 +265,61 @@ func TestClusterBlobFanout(t *testing.T) {
 	head.Body.Close()
 	if head.StatusCode != http.StatusNotFound {
 		t.Fatalf("HEAD missing blob: %d, want 404", head.StatusCode)
+	}
+}
+
+func TestClusterShardFailuresReachTheJob(t *testing.T) {
+	srv := newCoordinator(t)
+	srv.Start(context.Background())
+	t.Cleanup(srv.Drain)
+	coord := httptest.NewServer(srv.Handler())
+	defer coord.Close()
+
+	spec := JobSpec{Workload: "nbody", Scale: 1, GC: "none", Configs: []CacheConfig{
+		{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
+		{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"},
+	}}
+	cfgs, err := spec.CacheConfigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stub worker whose shard ends failed the way a standalone job
+	// does: the first configuration completed, the second exhausted its
+	// retry budget.
+	shard := Job{
+		Schema: JobSchema, ID: "jshard", State: StateFailed, Error: "1 of 2 configurations failed",
+		Collector: "none", ConfigsDone: 1, ConfigsTotal: 2,
+		Results:  []ConfigResult{resultFromCore(core.ConfigResult{Config: cfgs[0], Checksum: 7, Insns: 1000})},
+		Failures: []JobFailure{{Config: cfgs[1].String(), Attempts: 1, Error: "simulator crashed"}},
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, Job{Schema: JobSchema, ID: shard.ID, State: StateQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(Event{Type: "state", Job: shard.ID, State: shard.State, Error: shard.Error})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, shard)
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	srv.cluster.hello(workerHello{Name: "w", URL: worker.URL})
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	job, err := NewClient(coord.URL).Run(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != StateFailed || job.Error != "1 of 2 configurations failed" {
+		t.Fatalf("coordinator job %s: %q, want failed: 1 of 2 configurations failed", job.State, job.Error)
+	}
+	if len(job.Results) != 1 || job.Results[0].Config != spec.Configs[0] || job.Results[0].Checksum != 7 {
+		t.Errorf("coordinator job results = %+v, want the shard's one result", job.Results)
+	}
+	if len(job.Failures) != 1 || job.Failures[0] != shard.Failures[0] {
+		t.Errorf("coordinator job failures = %+v, want %+v", job.Failures, shard.Failures)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -161,6 +162,17 @@ func (p *pool) submit(id string, class int, at time.Time) error {
 	heap.Push(&p.backlog, queued{id: id, class: class, seq: p.seq, at: at})
 	p.cond.Signal()
 	return nil
+}
+
+// remove drops every backlog entry for id (a job cancelled while queued)
+// and reports how many it dropped.
+func (p *pool) remove(id string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.backlog)
+	p.backlog = slices.DeleteFunc(p.backlog, func(q queued) bool { return q.id == id })
+	heap.Init(&p.backlog)
+	return n - len(p.backlog)
 }
 
 // depth reports the current backlog.

@@ -182,23 +182,23 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
 	s.mux.HandleFunc("GET /dashboard/events", s.handleDashboardEvents)
 	if cfg.TraceCache != nil {
-		// Every node (standalone included) serves its local blob layer so
-		// peers can fetch any recorded trace by content hash.
-		s.registerBlobRoutes()
+		// Every node (standalone included) serves its local blob layer
+		// read-only so peers can fetch any recorded trace by content hash.
+		// GET patterns also answer HEAD; POST and DELETE get 405.
+		blobs := http.StripPrefix("/castore/v1/blobs", castore.Handler(cfg.TraceCache.LocalBlobs()))
+		s.mux.Handle("GET /castore/v1/blobs", blobs)
+		s.mux.Handle("GET /castore/v1/blobs/{id}", blobs)
 	}
 	switch cfg.Role {
 	case RoleCoordinator:
 		s.cluster = newClusterState(cfg.WorkerDeadAfter)
 		s.registerClusterRoutes()
 	case RoleWorker:
-		s.worker = newClusterClient(cfg.Coordinator, cfg.NodeName, cfg.AdvertiseURL)
+		s.worker = &clusterClient{api: NewClient(cfg.Coordinator), node: cfg.NodeName, url: cfg.AdvertiseURL}
 		s.stopHeartbeat = make(chan struct{})
 		// From here on, this node's trace misses go through the fleet:
 		// claim before recording, fetch by hash when someone already did.
-		cfg.TraceCache.JoinCluster(
-			castore.NewHTTPStore(strings.TrimRight(cfg.Coordinator, "/")+"/cluster/v1/blobs", nil),
-			s.worker,
-		)
+		cfg.TraceCache.JoinCluster(castore.NewHTTPStore(s.worker.api.BaseURL+"/cluster/v1/blobs", nil), s.worker)
 	}
 	return s, nil
 }
@@ -299,15 +299,22 @@ func (s *Server) Start(ctx context.Context) {
 		}
 		s.hub.seed(j)
 		class, _ := PriorityClass(j.Priority) // old jobs have no priority: batch
-		s.tenants.ByName(j.Tenant).requeue()
-		if err := s.pool.submit(id, class, time.Now()); err != nil {
-			s.tenants.ByName(j.Tenant).dropQueued()
-			s.logf("resume %s: %v", id, err)
-		}
+		s.enqueue(id, s.tenants.ByName(j.Tenant), class)
 	}
 	s.pool.start(ctx, s.cfg.Workers)
 	if s.worker != nil {
 		go s.heartbeatLoop(ctx, s.cfg.HeartbeatEvery)
+	}
+}
+
+// enqueue puts a resumable job back in the backlog at its class and
+// accounts it as queued for its tenant. A pool that refuses it (draining,
+// or full) leaves the job persisted as queued for the next process.
+func (s *Server) enqueue(id string, t *Tenant, class int) {
+	t.requeue()
+	if err := s.pool.submit(id, class, time.Now()); err != nil {
+		t.dropQueued()
+		s.logf("re-enqueue job %s: %v", id, err)
 	}
 }
 
@@ -333,13 +340,16 @@ func nowRFC3339() string { return time.Now().UTC().Format(time.RFC3339) }
 
 // ---- job execution -------------------------------------------------------
 
-// runJob executes one job on a pool worker. Interruption semantics: a
-// drain (pool context cancelled) marks the job interrupted — resumable,
-// its finished configurations checkpointed; an API cancellation marks it
-// cancelled — terminal; a preemption (cancellation with cause
-// core.ErrPreempted) re-queues it, checkpoints intact, to resume when a
-// worker frees up. Failed configurations (after the retry budget) fail
-// the job but keep every completed result.
+// runJob executes one job on a pool worker, in every role through one
+// jobRun. Interruption semantics: a drain (pool context
+// cancelled) marks the job interrupted — resumable, its finished
+// configurations checkpointed; an API cancellation marks it cancelled —
+// terminal; a preemption (cancellation with cause core.ErrPreempted) or
+// a worker lost mid-shard re-queues it, checkpoints intact, to resume
+// when a worker frees up. The re-queue happens only once the run has
+// left s.running, so an idle worker that pops the entry at once runs it
+// rather than dropping it as a duplicate. Failed configurations (after
+// the retry budget) fail the job but keep every completed result.
 //
 // Span accounting: the job span starts at enqueue time and its children
 // — queue, setup, sweep, report — are contiguous (each stage ends where
@@ -354,8 +364,12 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 	if ok {
 		tenant = s.tenants.ByName(j.Tenant)
 	}
+	requeue := false
 	defer func() {
 		tenant.releaseRun()
+		if requeue {
+			s.enqueue(id, tenant, class)
+		}
 		s.pool.kick()
 	}()
 	if !ok || j.Terminal() {
@@ -396,7 +410,7 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 		at := time.Now()
 		open.EndAt(at)
 		_, reportSpan := rec.StartSpanAt(sctx, telemetry.StageReport, at)
-		s.finishJob(id, class, sweep, err)
+		requeue = s.finishJob(id, sweep, err)
 		end := time.Now()
 		reportSpan.EndAt(end)
 		jobSpan.EndAt(end)
@@ -458,57 +472,30 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 	sweepCtx, sweepSpan := rec.StartSpanAt(telemetry.ContextWithSpan(jctx, telemetry.SpanFromContext(sctx)), telemetry.StageSweep, sweepStart)
 	sweepSpan.SetAttr("configs", fmt.Sprint(len(cfgs)))
 
-	var done int
-	var doneMu sync.Mutex
-	total := len(cfgs)
-	onResult := func(r core.ConfigResult) {
-		doneMu.Lock()
-		done++
-		d := done
-		doneMu.Unlock()
-		s.metrics.ConfigsCompleted.Add(1)
-		s.metrics.RefsReplayed.Add(r.CacheStats.Refs() + r.CacheStats.GCReads + r.CacheStats.GCWrites)
-		s.hub.publish(Event{Type: "config", Job: id, Config: r.Config.String(), Done: d, Total: total})
-	}
-	var sweep *core.PerConfigSweep
-	if s.cluster != nil {
-		// Coordinator: shard the configurations across the fleet instead
-		// of running them here. Same checkpoint, same resume semantics,
-		// same report bytes.
-		sweep, err = s.runClusterSweep(sweepCtx, w, spec, cfgs, colName, ck, onResult)
-	} else {
-		sweep, err = core.RunSweepPerConfig(sweepCtx, w, spec.Scale, cfgs, core.PerConfigSweepOpts{
-			MakeCollector: mkCol,
-			Retries:       spec.Retries,
-			Checkpoint:    ck,
-			Resume:        true, // a fresh job has an empty checkpoint dir; a resumed one replays it
-			OnResult:      onResult,
-			// This node's own cache, not the process global: several
-			// cluster nodes can share one process (tests do), each with
-			// its own store. Nil falls back to the global, as before.
-			TraceCache: s.cfg.TraceCache,
-		})
-	}
+	jr := &jobRun{s: s, id: id, spec: spec, w: w, mkCol: mkCol, colName: colName, cfgs: cfgs, ck: ck}
+	sweep, err := jr.run(sweepCtx)
 	finishStaged(sweepSpan, sweep, err)
 }
 
 // finishJob persists a job's terminal (or interrupted) state and
-// announces it; a preempted job is instead re-queued with its results so
-// far. sweep may be nil when the job never started a sweep.
-func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err error) {
+// announces it. A preempted job, or one whose run lost a worker, is
+// instead persisted as queued with its results so far, and finishJob
+// reports true: the caller re-enqueues it, and the next run resumes from
+// the checkpoints with a report byte-identical to an uninterrupted run.
+// sweep may be nil when the job never started a sweep.
+func (s *Server) finishJob(id string, sweep *core.PerConfigSweep, err error) (requeue bool) {
 	s.mu.Lock()
 	apiCancelled := s.cancelled[id]
 	delete(s.cancelled, id)
 	s.mu.Unlock()
 
-	if err != nil && !apiCancelled && errors.Is(err, core.ErrPreempted) {
-		s.requeuePreempted(id, class, sweep)
-		return
-	}
-
+	preempted := !apiCancelled && errors.Is(err, core.ErrPreempted)
+	requeue = preempted || (!apiCancelled && errors.Is(err, errWorkerLost))
 	state := StateDone
 	var errText string
 	switch {
+	case requeue:
+		state = StateQueued
 	case err != nil && apiCancelled:
 		state = StateCancelled
 		errText = "cancelled"
@@ -533,12 +520,18 @@ func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err
 	case StateCancelled:
 		s.metrics.JobsCancelled.Add(1)
 	}
+	if preempted {
+		s.metrics.PreemptionsTotal.Add(1)
+	}
 
 	j, uerr := s.store.Update(id, func(j *Job) {
 		j.State = state
 		j.Error = errText
-		if state != StateInterrupted {
+		if TerminalState(state) {
 			j.FinishedAt = nowRFC3339()
+		}
+		if preempted {
+			j.Preemptions++
 		}
 		if sweep != nil {
 			j.Collector = sweep.Collector
@@ -555,47 +548,17 @@ func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err
 	})
 	if uerr != nil {
 		s.logf("job %s: %v", id, uerr)
-		return
+		return false
+	}
+	if preempted {
+		s.hub.publish(Event{Type: "state", Job: id, State: StatePreempted, Done: j.ConfigsDone, Total: j.ConfigsTotal, Tenant: j.Tenant, Priority: j.Priority})
 	}
 	s.hub.publish(Event{Type: "state", Job: id, State: state, Done: j.ConfigsDone, Total: j.ConfigsTotal, Error: errText, Tenant: j.Tenant, Priority: j.Priority})
+	if requeue {
+		errText = err.Error() + ", re-queued"
+	}
 	s.logf("job %s %s: %d/%d configs%s", id, state, j.ConfigsDone, j.ConfigsTotal, suffixIf(errText))
-}
-
-// requeuePreempted puts a preempted job back in the queue: its completed
-// configurations (already checkpointed on disk) are persisted on the job
-// view, the transient preempted state is announced, and the job re-enters
-// the backlog at its own priority — when a worker next picks it up, the
-// resume path replays the checkpoints and the final report comes out
-// byte-identical to an uninterrupted run.
-func (s *Server) requeuePreempted(id string, class int, sweep *core.PerConfigSweep) {
-	s.metrics.PreemptionsTotal.Add(1)
-	j, uerr := s.store.Update(id, func(j *Job) {
-		j.State = StateQueued
-		j.Error = ""
-		j.Preemptions++
-		if sweep != nil {
-			j.Collector = sweep.Collector
-			j.Results = j.Results[:0]
-			for _, r := range sweep.Results {
-				j.Results = append(j.Results, resultFromCore(r))
-			}
-			j.ConfigsDone = len(j.Results)
-		}
-	})
-	if uerr != nil {
-		s.logf("job %s: %v", id, uerr)
-		return
-	}
-	s.hub.publish(Event{Type: "state", Job: id, State: StatePreempted, Done: j.ConfigsDone, Total: j.ConfigsTotal, Tenant: j.Tenant, Priority: j.Priority})
-	s.hub.publish(Event{Type: "state", Job: id, State: StateQueued, Done: j.ConfigsDone, Total: j.ConfigsTotal, Tenant: j.Tenant, Priority: j.Priority})
-	s.tenants.ByName(j.Tenant).requeue()
-	if err := s.pool.submit(id, class, time.Now()); err != nil {
-		// Draining (or the queue is full): the job is persisted as queued,
-		// so the next process re-enqueues it like any resumable job.
-		s.tenants.ByName(j.Tenant).dropQueued()
-		s.logf("re-enqueue preempted job %s: %v", id, err)
-	}
-	s.logf("job %s preempted: %d/%d configs checkpointed, re-queued", id, j.ConfigsDone, j.ConfigsTotal)
+	return requeue
 }
 
 func suffixIf(errText string) string {
@@ -820,8 +783,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j)
 		return
 	}
-	// Queued: flip it to cancelled directly; the worker skips terminal
-	// jobs when it eventually pops the stale queue entry.
+	// Queued: flip it to cancelled and drop its backlog entry, releasing
+	// the tenant's queued slot. An entry a worker already popped is
+	// skipped when the worker sees the job terminal.
+	for range s.pool.remove(id) {
+		s.tenants.ByName(j.Tenant).dropQueued()
+	}
 	j, err := s.store.Update(id, func(j *Job) {
 		if !j.Terminal() {
 			j.State = StateCancelled

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gcsim/internal/core"
+	"gcsim/internal/telemetry"
 )
 
 func validSpec() JobSpec {
@@ -210,5 +214,62 @@ func TestMetricsText(t *testing.T) {
 	m.WriteText(&sb, nil, 0, nil, nil)
 	if !strings.Contains(sb.String(), "gcsimd_trace_cache_hits_total 0") {
 		t.Error("nil trace cache dropped the hit counter")
+	}
+}
+
+// TestRequeuedJobRunsOnAnIdleWorker: a re-queued job enters the backlog
+// only after its run has left s.running, so an idle pool worker that pops
+// the entry at once runs it rather than dropping it as a duplicate. The
+// report span's end hook stalls the finishing run to widen that window.
+func TestRequeuedJobRunsOnAnIdleWorker(t *testing.T) {
+	rec := telemetry.NewSpanRecorder(1024)
+	srv, err := New(Config{StateDir: t.TempDir(), Workers: 2, Spans: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetOnEnd(func(sp telemetry.Span) {
+		srv.metrics.ObserveSpan(sp)
+		if sp.Name == telemetry.StageReport {
+			time.Sleep(100 * time.Millisecond)
+		}
+	})
+	srv.Start(context.Background())
+	t.Cleanup(srv.Drain)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	cl := NewClient(hs.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// Two configurations and no trace cache: the resumed run commits them
+	// from two engine goroutines at once.
+	spec := validSpec()
+	spec.Workload, spec.Scale = "tc", 1200
+	spec.Configs = append(spec.Configs, CacheConfig{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"})
+	job, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With a pool worker idle no arrival preempts, so pull the trigger
+	// directly as soon as the run starts.
+	for preempted := false; !preempted; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		if rj := srv.running[job.ID]; rj != nil {
+			rj.preempt(core.ErrPreempted)
+			preempted = true
+		}
+		srv.mu.Unlock()
+	}
+	term, err := cl.Stream(ctx, job.ID, nil)
+	if err != nil {
+		t.Fatalf("re-queued job never finished: %v", err)
+	}
+	final, err := cl.Job(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if term.State != StateDone || final.Preemptions != 1 || len(final.Results) != len(spec.Configs) {
+		t.Fatalf("job ended %s with %d results after %d preemptions, want done with %d after 1",
+			term.State, len(final.Results), final.Preemptions, len(spec.Configs))
 	}
 }

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"gcsim/internal/core"
@@ -23,46 +20,12 @@ import (
 // breaking and re-sharding.
 
 // clusterClient is a worker's handle on its coordinator: the
-// RemoteTraceIndex implementation plus the registration heartbeat.
+// RemoteTraceIndex implementation plus the registration heartbeat, both
+// over the ordinary API client.
 type clusterClient struct {
-	base string // coordinator base URL, no trailing slash
+	api  *Client
 	node string // this worker's name
 	url  string // this worker's advertise URL
-	hc   *http.Client
-}
-
-func newClusterClient(coordinator, node, advertise string) *clusterClient {
-	return &clusterClient{
-		base: strings.TrimRight(coordinator, "/"),
-		node: node,
-		url:  advertise,
-		hc:   &http.Client{},
-	}
-}
-
-// postJSON is one coordinator RPC: POST in, decode out (out may be nil).
-func (c *clusterClient) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Claim implements core.RemoteTraceIndex: ask the coordinator for the
@@ -70,7 +33,7 @@ func (c *clusterClient) postJSON(ctx context.Context, path string, in, out any) 
 // node is recording — the cache polls.
 func (c *clusterClient) Claim(ctx context.Context, key string) (bool, *core.TraceMeta, error) {
 	var resp claimResponse
-	if err := c.postJSON(ctx, "/cluster/v1/traces/claim", claimRequest{Key: key, Node: c.node}, &resp); err != nil {
+	if err := c.api.doJSON(ctx, http.MethodPost, "/cluster/v1/traces/claim", claimRequest{Key: key, Node: c.node}, &resp); err != nil {
 		return false, nil, err
 	}
 	switch resp.Status {
@@ -92,12 +55,12 @@ func (c *clusterClient) Claim(ctx context.Context, key string) (bool, *core.Trac
 // /castore/v1/blobs before acknowledging, so a slow publish is the
 // replication, not a failure.
 func (c *clusterClient) Publish(ctx context.Context, key string, meta *core.TraceMeta) error {
-	return c.postJSON(ctx, "/cluster/v1/traces/publish", publishRequest{Key: key, Node: c.node, Meta: meta}, nil)
+	return c.api.doJSON(ctx, http.MethodPost, "/cluster/v1/traces/publish", publishRequest{Key: key, Node: c.node, Meta: meta}, nil)
 }
 
 // hello registers (or refreshes) this worker with the coordinator.
 func (c *clusterClient) hello(ctx context.Context, stats workerStats) error {
-	return c.postJSON(ctx, "/cluster/v1/workers", workerHello{Name: c.node, URL: c.url, Stats: stats}, nil)
+	return c.api.doJSON(ctx, http.MethodPost, "/cluster/v1/workers", workerHello{Name: c.node, URL: c.url, Stats: stats}, nil)
 }
 
 // workerStatsNow snapshots the counters this node reports upstream.
@@ -126,7 +89,7 @@ func (s *Server) heartbeatLoop(ctx context.Context, every time.Duration) {
 		hctx, cancel := context.WithTimeout(ctx, every*3)
 		defer cancel()
 		if err := s.worker.hello(hctx, s.workerStatsNow()); err != nil {
-			s.logf("cluster: heartbeat to %s: %v", s.worker.base, err)
+			s.logf("cluster: heartbeat to %s: %v", s.worker.api.BaseURL, err)
 		}
 	}
 	beat()
