@@ -16,9 +16,8 @@
 //	GET    /v1/jobs/{id}/spans  the job's recorded span tree (gcsim-span/v1)
 //	GET    /metrics             Prometheus text exposition (counters, gauges, latency histograms)
 //	GET    /healthz             health probe: pool depth, store writable, trace-cache stat
-//	GET    /dashboard           live HTML dashboard (SSE-fed job table and stage latencies)
-//	GET    /dashboard/events    the dashboard's SSE feed
-//	GET    /castore/v1/blobs[/{id}]  this node's recorded trace blobs, by sha256 (castore.Handler)
+//	GET    /dashboard           HTML dashboard (job table, stage latencies), reloaded every 2 s
+//	GET    /castore/v1/blobs/{id}  this node's recorded trace blobs, by sha256 (castore.Handler, read-only)
 //	POST   /cluster/v1/workers  (coordinator) worker registration + heartbeat
 //	GET    /cluster/v1/workers  (coordinator) the fleet view
 //	POST   /cluster/v1/traces/{claim,publish}  (coordinator) record-exactly-once arbitration
@@ -54,14 +53,14 @@
 // survivors.
 //
 // With -tenants, every /v1 route requires an API key from the config
-// file ({"tenants": [{"name", "key", "rate_per_sec", "burst",
-// "max_running", "max_queued", "max_priority"}, ...]}); each tenant gets
-// its own token-bucket rate limit, quotas, and priority ceiling. Jobs
-// carry a priority class (interactive/batch/bulk); an arriving
-// interactive job may preempt a running bulk sweep, which re-queues with
-// its completed configurations checkpointed. Past -queue-high-water the
-// daemon sheds submissions with 429 + Retry-After instead of queueing
-// without bound.
+// file ({"tenants": [{"name", "key", "max_queued"}, ...]}), sent as an
+// Authorization: Bearer or X-API-Key header (the dashboard also takes
+// ?key=); a tenant with max_queued gets a 429 + Retry-After once that
+// many of its jobs are queued. Jobs carry a priority class
+// (interactive/batch/bulk); an arriving interactive job may preempt a
+// running bulk sweep, which re-queues with its completed configurations
+// checkpointed. Past -queue-high-water the daemon sheds submissions with
+// 429 + Retry-After instead of queueing without bound.
 package main
 
 import (

@@ -11,8 +11,7 @@ func TestMemLen(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("fresh Mem.Len = %d, want 0", m.Len())
 	}
-	id, err := m.Post(ctx, []byte("one"))
-	if err != nil {
+	if _, err := m.Post(ctx, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Post(ctx, []byte("one")); err != nil { // dedup: same content
@@ -23,47 +22,5 @@ func TestMemLen(t *testing.T) {
 	}
 	if m.Len() != 2 {
 		t.Fatalf("Mem.Len after 3 posts of 2 contents = %d, want 2", m.Len())
-	}
-	if err := m.Delete(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Mem.Len after delete = %d, want 1", m.Len())
-	}
-}
-
-func TestCOWLayerAndDelete(t *testing.T) {
-	ctx := context.Background()
-	base, layer := NewMem(), NewMem()
-	cow := NewCOW(layer, base)
-	if cow.Layer() != Store(layer) {
-		t.Fatal("COW.Layer is not the layer it was built with")
-	}
-
-	baseID, err := base.Post(ctx, []byte("in base"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	layerID, err := cow.Post(ctx, []byte("in layer"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Delete removes only the local copy: the base is read-only shared
-	// state another node may still depend on.
-	if err := cow.Delete(ctx, layerID); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := layer.Exists(ctx, layerID); ok {
-		t.Fatal("delete left the blob in the layer")
-	}
-	if err := cow.Delete(ctx, baseID); err != nil {
-		t.Fatalf("deleting a base-only blob: %v (want local no-op)", err)
-	}
-	if ok, _ := base.Exists(ctx, baseID); !ok {
-		t.Fatal("COW.Delete reached into the base store")
-	}
-	if got, err := cow.Get(ctx, baseID); err != nil || string(got) != "in base" {
-		t.Fatalf("base blob unreadable after delete: %q, %v", got, err)
 	}
 }

@@ -2,9 +2,9 @@
 //
 // Every blob is identified by the SHA-256 of its bytes; stores are
 // interchangeable key-value backends (in-memory, local directory,
-// HTTP peer) that can be composed with copy-on-write and union
-// wrappers. The trace cache sits on top of this package: a trace is
-// recorded once anywhere in a cluster and fetched by hash everywhere
+// read-only HTTP peer) that can be composed with copy-on-write and
+// union wrappers. The trace cache sits on top of this package: a trace
+// is recorded once anywhere in a cluster and fetched by hash everywhere
 // else.
 package castore
 
@@ -64,12 +64,6 @@ type Store interface {
 	Get(ctx context.Context, id ID) ([]byte, error)
 	// Exists reports whether the blob is present.
 	Exists(ctx context.Context, id ID) (bool, error)
-	// Delete removes the blob if present. Deleting an absent blob is
-	// a no-op.
-	Delete(ctx context.Context, id ID) error
-	// List calls fn for each stored blob in unspecified order. A
-	// non-nil error from fn stops iteration and is returned.
-	List(ctx context.Context, fn func(ID) error) error
 }
 
 // Opener is an optional Store extension for streaming reads; large

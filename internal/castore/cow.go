@@ -20,9 +20,6 @@ type COW struct {
 // NewCOW returns a copy-on-write composition of layer over base.
 func NewCOW(layer, base Store) *COW { return &COW{layer: layer, base: base} }
 
-// Layer returns the writable layer.
-func (c *COW) Layer() Store { return c.layer }
-
 // Pulls returns how many blobs have been pulled through from the base.
 func (c *COW) Pulls() uint64 { return c.pulls.Load() }
 
@@ -66,22 +63,6 @@ func (c *COW) Exists(ctx context.Context, id ID) (bool, error) {
 	return c.base.Exists(ctx, id)
 }
 
-// ExistsLocally reports presence in the layer only, without touching
-// the base.
-func (c *COW) ExistsLocally(ctx context.Context, id ID) (bool, error) {
-	return c.layer.Exists(ctx, id)
-}
-
-// Delete removes the blob from the layer; the base is never written.
-func (c *COW) Delete(ctx context.Context, id ID) error {
-	return c.layer.Delete(ctx, id)
-}
-
-// List enumerates both layer and base, deduplicated.
-func (c *COW) List(ctx context.Context, fn func(ID) error) error {
-	return listUnion(ctx, fn, c.layer, c.base)
-}
-
 // Open streams from the layer, pulling through from the base on miss
 // so large traces recorded on another node are fetched once and then
 // replayed from local storage.
@@ -101,22 +82,4 @@ func (c *COW) Open(ctx context.Context, id ID) (io.ReadSeekCloser, error) {
 // Ingest streams into the layer.
 func (c *COW) Ingest(ctx context.Context) (BlobWriter, error) {
 	return Ingest(ctx, c.layer)
-}
-
-// listUnion enumerates stores in order, skipping addresses already seen.
-func listUnion(ctx context.Context, fn func(ID) error, stores ...Store) error {
-	seen := make(map[ID]bool)
-	for _, s := range stores {
-		err := s.List(ctx, func(id ID) error {
-			if seen[id] {
-				return nil
-			}
-			seen[id] = true
-			return fn(id)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

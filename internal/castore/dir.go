@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Dir is a content-addressed store backed by a local directory: one
@@ -68,32 +67,14 @@ func (d *Dir) Exists(ctx context.Context, id ID) (bool, error) {
 	return true, nil
 }
 
+// Delete removes the blob if present; deleting an absent blob is a
+// no-op.
 func (d *Dir) Delete(ctx context.Context, id ID) error {
 	err := os.Remove(d.path(id))
 	if os.IsNotExist(err) {
 		return nil
 	}
 	return err
-}
-
-func (d *Dir) List(ctx context.Context, fn func(ID) error) error {
-	entries, err := os.ReadDir(d.root)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		id, err := ParseID(e.Name())
-		if err != nil {
-			continue // foreign file; not a blob
-		}
-		if err := fn(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Open streams a blob from disk. Integrity was verified when the blob

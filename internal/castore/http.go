@@ -1,8 +1,6 @@
 package castore
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,9 +8,9 @@ import (
 	"strings"
 )
 
-// HTTPStore is a Store client for a peer serving the blob protocol
-// below (see Handler). Addresses are verified on every read, so a
-// misbehaving peer cannot poison a cache.
+// HTTPStore is a read-only Store client for a peer serving the blob
+// protocol below (see Handler). Addresses are verified on every read,
+// so a misbehaving peer cannot poison a cache.
 type HTTPStore struct {
 	base   string
 	client *http.Client
@@ -36,7 +34,7 @@ func (h *HTTPStore) do(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	switch resp.StatusCode {
-	case http.StatusOK, http.StatusNoContent:
+	case http.StatusOK:
 		return resp, nil
 	case http.StatusNotFound:
 		resp.Body.Close()
@@ -48,29 +46,9 @@ func (h *HTTPStore) do(req *http.Request) (*http.Response, error) {
 	}
 }
 
+// Post is not supported: peers serve their blobs read-only.
 func (h *HTTPStore) Post(ctx context.Context, data []byte) (ID, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base, bytes.NewReader(data))
-	if err != nil {
-		return ID{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := h.do(req)
-	if err != nil {
-		return ID{}, err
-	}
-	defer resp.Body.Close()
-	line, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-	if err != nil {
-		return ID{}, err
-	}
-	id, err := ParseID(strings.TrimSpace(string(line)))
-	if err != nil {
-		return ID{}, err
-	}
-	if id != Sum(data) {
-		return ID{}, fmt.Errorf("%w: peer returned %s", ErrBadBlob, id)
-	}
-	return id, nil
+	return ID{}, ErrReadOnly
 }
 
 func (h *HTTPStore) Get(ctx context.Context, id ID) ([]byte, error) {
@@ -109,99 +87,26 @@ func (h *HTTPStore) Exists(ctx context.Context, id ID) (bool, error) {
 	return true, nil
 }
 
-func (h *HTTPStore) Delete(ctx context.Context, id ID) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, h.url(id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.do(req)
-	if err == ErrNotFound {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
-}
-
-func (h *HTTPStore) List(ctx context.Context, fn func(ID) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		id, err := ParseID(line)
-		if err != nil {
-			return err
-		}
-		if err := fn(id); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
-// maxBlobBytes bounds a single posted blob (paper-scale traces are
-// ~500 MB; 4 GiB leaves ample headroom without letting a peer exhaust
-// memory).
-const maxBlobBytes = 4 << 30
-
-// Handler serves s over HTTP:
+// Handler serves s over HTTP, read-only:
 //
-//	GET    <prefix>/{id}  blob bytes (404 if absent)
-//	HEAD   <prefix>/{id}  presence probe
-//	DELETE <prefix>/{id}  remove
-//	GET    <prefix>       newline-separated hex addresses
-//	POST   <prefix>       ingest body, respond with its hex address
+//	GET  <prefix>/{id}  blob bytes (404 if absent)
+//	HEAD <prefix>/{id}  presence probe
 //
-// The handler must be mounted so that the path after the mount point
-// is either empty or a single hex address.
+// Every other method answers 405. The handler must be mounted so that
+// the path after the mount point is a single hex address.
 func Handler(s Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.Trim(r.URL.Path, "/")
-		if rest == "" {
-			switch r.Method {
-			case http.MethodGet:
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				s.List(r.Context(), func(id ID) error {
-					_, err := fmt.Fprintln(w, id.String())
-					return err
-				})
-			case http.MethodPost:
-				data, err := io.ReadAll(io.LimitReader(r.Body, maxBlobBytes))
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				id, err := s.Post(r.Context(), data)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				fmt.Fprintln(w, id.String())
-			default:
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			}
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		id, err := ParseID(rest)
+		id, err := ParseID(strings.Trim(r.URL.Path, "/"))
 		if err != nil {
 			http.Error(w, "bad blob id", http.StatusBadRequest)
 			return
 		}
-		switch r.Method {
-		case http.MethodHead:
+		if r.Method == http.MethodHead {
 			ok, err := s.Exists(r.Context(), id)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -212,27 +117,19 @@ func Handler(s Store) http.Handler {
 				return
 			}
 			w.WriteHeader(http.StatusOK)
-		case http.MethodGet:
-			rc, err := Open(r.Context(), s, id)
-			if err == ErrNotFound {
-				http.Error(w, "not found", http.StatusNotFound)
-				return
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			defer rc.Close()
-			w.Header().Set("Content-Type", "application/octet-stream")
-			io.Copy(w, rc)
-		case http.MethodDelete:
-			if err := s.Delete(r.Context(), id); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
 		}
+		rc, err := Open(r.Context(), s, id)
+		if err == ErrNotFound {
+			http.Error(w, "not found", http.StatusNotFound)
+			return
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		defer rc.Close()
+		w.Header().Set("Content-Type", "application/octet-stream")
+		io.Copy(w, rc)
 	})
 }

@@ -45,28 +45,6 @@ func (m *Mem) Exists(ctx context.Context, id ID) (bool, error) {
 	return ok, nil
 }
 
-func (m *Mem) Delete(ctx context.Context, id ID) error {
-	m.mu.Lock()
-	delete(m.blobs, id)
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *Mem) List(ctx context.Context, fn func(ID) error) error {
-	m.mu.RLock()
-	ids := make([]ID, 0, len(m.blobs))
-	for id := range m.blobs {
-		ids = append(ids, id)
-	}
-	m.mu.RUnlock()
-	for _, id := range ids {
-		if err := fn(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Open streams a blob without re-copying it: the underlying bytes are
 // immutable once posted.
 func (m *Mem) Open(ctx context.Context, id ID) (io.ReadSeekCloser, error) {

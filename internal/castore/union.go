@@ -48,13 +48,6 @@ func (u Union) Exists(ctx context.Context, id ID) (bool, error) {
 	return false, miss
 }
 
-// Delete is not supported; unions are read-only.
-func (u Union) Delete(ctx context.Context, id ID) error { return ErrReadOnly }
-
-func (u Union) List(ctx context.Context, fn func(ID) error) error {
-	return listUnion(ctx, fn, u...)
-}
-
 // Open streams from the first member holding the blob.
 func (u Union) Open(ctx context.Context, id ID) (io.ReadSeekCloser, error) {
 	miss := ErrNotFound

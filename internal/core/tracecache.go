@@ -35,12 +35,12 @@ import (
 // stream, including the per-chunk clock stamps telemetry snapshots use).
 //
 // Storage is split in two, both pluggable: trace bytes live in a
-// castore.Store (sha256-addressed blobs — local dir, in-memory, HTTP
-// peer, or compositions thereof), and the (key → TraceMeta) mapping
-// lives in a TraceIndex. In a cluster the blob store is a COW over the
-// coordinator's fleet-wide fetch endpoint and a RemoteTraceIndex
-// arbitrates recording, so each trace is recorded exactly once anywhere
-// and fetched by hash everywhere else.
+// castore.Store (sha256-addressed blobs — local dir, in-memory, or a
+// composition with a read-only HTTP peer), and the (key → TraceMeta)
+// mapping lives in a TraceIndex. In a cluster the blob store is a COW
+// over the coordinator's fleet-wide fetch endpoint and a
+// RemoteTraceIndex arbitrates recording, so each trace is recorded
+// exactly once anywhere and fetched by hash everywhere else.
 
 // TraceMetaSchema identifies the trace sidecar format.
 const TraceMetaSchema = "gcsim-trace-meta/v1"
@@ -179,8 +179,9 @@ func NewTraceCache(dir string) (*TraceCache, error) {
 }
 
 // NewTraceCacheWith builds a trace cache over any blob store and index
-// combination — in-memory for tests, HTTP-backed for peers, COW/union
-// compositions for cluster workers.
+// combination — in-memory for tests, or a composition; recording needs
+// a writable store, so a read-only HTTP peer serves only as JoinCluster's
+// base.
 func NewTraceCacheWith(blobs castore.Store, index TraceIndex) *TraceCache {
 	return &TraceCache{
 		blobs: blobs,

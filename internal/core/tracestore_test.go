@@ -234,17 +234,20 @@ func TestTraceCacheClusterExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replicate A's blobs into the shared store, as the coordinator does
-	// on publish.
-	if err := nodeA.LocalBlobs().List(context.Background(), func(id castore.ID) error {
+	// Replicate A's published blobs into the shared store, by the
+	// address each publish carries, as the coordinator does.
+	for _, meta := range remote.entries {
+		id, err := castore.ParseID(meta.SHA256)
+		if err != nil {
+			t.Fatal(err)
+		}
 		data, err := nodeA.LocalBlobs().Get(context.Background(), id)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		_, err = shared.Post(context.Background(), data)
-		return err
-	}); err != nil {
-		t.Fatal(err)
+		if _, err := shared.Post(context.Background(), data); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	swB, err := runSweepWith(context.Background(), nodeB, w, w.SmallScale, gc.NewCheney(256<<10), cfgs)

@@ -1,9 +1,9 @@
 package server_test
 
 // HTTP-level tests for the admission layer: API-key authentication,
-// per-tenant priority ceilings, quotas and rate limits (with Retry-After
-// advice), global load shedding past the high-water mark, and the
-// client's retry/backoff behaviour against 429/503 responses.
+// per-tenant queued-job quotas (with Retry-After advice), global load
+// shedding past the high-water mark, and the client's retry/backoff
+// behaviour against 429/503 responses.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +28,12 @@ import (
 // deterministic) and serves its handler.
 func newTenantServer(t *testing.T, tenantsJSON string, highWater int) (*server.Server, *httptest.Server) {
 	t.Helper()
+	return newTenantServerAt(t, t.TempDir(), tenantsJSON, highWater)
+}
+
+// newTenantServerAt is newTenantServer over a given state directory.
+func newTenantServerAt(t *testing.T, stateDir, tenantsJSON string, highWater int) (*server.Server, *httptest.Server) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(path, []byte(tenantsJSON), 0o644); err != nil {
 		t.Fatal(err)
@@ -36,7 +43,7 @@ func newTenantServer(t *testing.T, tenantsJSON string, highWater int) (*server.S
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		StateDir:       t.TempDir(),
+		StateDir:       stateDir,
 		Workers:        1,
 		Tenants:        reg,
 		QueueHighWater: highWater,
@@ -109,8 +116,7 @@ func retryAfterSeconds(t *testing.T, resp *http.Response) int {
 
 func TestAdmissionAuthAndLimits(t *testing.T) {
 	_, hs := newTenantServer(t, `{"tenants": [
-		{"name": "capped", "key": "k-capped", "max_priority": "batch", "max_queued": 1},
-		{"name": "slow", "key": "k-slow", "rate_per_sec": 0.01, "burst": 1}
+		{"name": "capped", "key": "k-capped", "max_queued": 1}
 	]}`, 0)
 
 	// No key, a wrong key, and a malformed bearer value are all 401; the
@@ -130,12 +136,6 @@ func TestAdmissionAuthAndLimits(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Priority above the tenant's ceiling: 403, reason "priority".
-	resp, msg, _ := rawSubmit(t, hs.URL, "k-capped", quickSpec("interactive"))
-	if resp.StatusCode != http.StatusForbidden || !strings.Contains(msg, "priority") {
-		t.Errorf("above-ceiling submit: status=%d msg=%q, want 403", resp.StatusCode, msg)
-	}
-
 	// Quota: the first job queues, the second trips max_queued with a 429
 	// carrying Retry-After advice.
 	resp, _, job := rawSubmit(t, hs.URL, "k-capped", quickSpec("batch"))
@@ -145,25 +145,12 @@ func TestAdmissionAuthAndLimits(t *testing.T) {
 	if job.Tenant != "capped" || job.Priority != "batch" {
 		t.Errorf("accepted job tenant/priority = %q/%q", job.Tenant, job.Priority)
 	}
-	resp, msg, _ = rawSubmit(t, hs.URL, "k-capped", quickSpec("batch"))
+	resp, msg, _ := rawSubmit(t, hs.URL, "k-capped", quickSpec("batch"))
 	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(msg, "quota") {
 		t.Errorf("over-quota submit: status=%d msg=%q, want 429", resp.StatusCode, msg)
 	}
 	if secs := retryAfterSeconds(t, resp); secs < 1 {
 		t.Errorf("quota Retry-After = %d, want >= 1", secs)
-	}
-
-	// Rate: the slow tenant's single token goes to the first submission;
-	// at 0.01/s the refill advice is long.
-	if resp, _, _ := rawSubmit(t, hs.URL, "k-slow", quickSpec("")); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("slow tenant's first submit: status=%d", resp.StatusCode)
-	}
-	resp, msg, _ = rawSubmit(t, hs.URL, "k-slow", quickSpec(""))
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(msg, "submissions/s") {
-		t.Errorf("rate-limited submit: status=%d msg=%q, want 429", resp.StatusCode, msg)
-	}
-	if secs := retryAfterSeconds(t, resp); secs < 1 {
-		t.Errorf("rate Retry-After = %d, want >= 1", secs)
 	}
 
 	// The per-tenant metric families carry the accounting.
@@ -178,10 +165,7 @@ func TestAdmissionAuthAndLimits(t *testing.T) {
 	page := sb.String()
 	for metric, want := range map[string]float64{
 		`gcsimd_tenant_jobs_submitted_total{tenant="capped"}`:          1,
-		`gcsimd_tenant_jobs_submitted_total{tenant="slow"}`:            1,
 		`gcsimd_tenant_rejected_total{tenant="capped",reason="quota"}`: 1,
-		`gcsimd_tenant_rejected_total{tenant="slow",reason="rate"}`:    1,
-		`gcsimd_tenant_rejected_total{tenant="capped",reason="rate"}`:  0,
 		`gcsimd_tenant_jobs_queued{tenant="capped"}`:                   1,
 	} {
 		if got := metricValue(t, page, metric); got != want {
@@ -264,21 +248,136 @@ func TestTenantIsolationOnJobRoutes(t *testing.T) {
 	}
 
 	// In tenant mode the dashboard authenticates too: anonymous is 401,
-	// a tenant key works via header or the ?key= query (EventSource
-	// cannot set headers). The owner then cancels its own job fine.
-	for _, path := range []string{"/dashboard", "/dashboard/events"} {
-		if got := doKeyed(t, http.MethodGet, hs.URL+path, ""); got.StatusCode != http.StatusUnauthorized {
-			t.Errorf("GET %s anonymously: status=%d, want 401", path, got.StatusCode)
-		}
-		if got := doKeyed(t, http.MethodGet, hs.URL+path, "k-beta"); got.StatusCode != http.StatusOK {
-			t.Errorf("GET %s as beta: status=%d, want 200", path, got.StatusCode)
-		}
-		if got := doKeyed(t, http.MethodGet, hs.URL+path+"?key=k-alpha", ""); got.StatusCode != http.StatusOK {
-			t.Errorf("GET %s?key=: status=%d, want 200", path, got.StatusCode)
-		}
+	// a tenant key works via header or the ?key= query (a browser cannot
+	// set headers). The owner then cancels its own job fine.
+	if got := doKeyed(t, http.MethodGet, hs.URL+"/dashboard", ""); got.StatusCode != http.StatusUnauthorized {
+		t.Errorf("GET /dashboard anonymously: status=%d, want 401", got.StatusCode)
+	}
+	if got := doKeyed(t, http.MethodGet, hs.URL+"/dashboard", "k-beta"); got.StatusCode != http.StatusOK {
+		t.Errorf("GET /dashboard as beta: status=%d, want 200", got.StatusCode)
+	}
+	if got := doKeyed(t, http.MethodGet, hs.URL+"/dashboard?key=k-alpha", ""); got.StatusCode != http.StatusOK {
+		t.Errorf("GET /dashboard?key=: status=%d, want 200", got.StatusCode)
 	}
 	if got := doKeyed(t, http.MethodDelete, hs.URL+"/v1/jobs/"+job.ID, "k-alpha"); got.StatusCode != http.StatusOK {
 		t.Errorf("DELETE as alpha (the owner): status=%d, want 200", got.StatusCode)
+	}
+}
+
+// TestAPIKeyQueryParameterOnlyOnDashboard: a key in the URL ends up in
+// access logs and shell history, so only the dashboard, which a browser
+// opens without headers, reads one.
+func TestAPIKeyQueryParameterOnlyOnDashboard(t *testing.T) {
+	_, hs := newTenantServer(t, `{"tenants": [{"name": "alpha", "key": "k-alpha"}]}`, 0)
+	if got := doKeyed(t, http.MethodGet, hs.URL+"/v1/jobs?key=k-alpha", ""); got.StatusCode != http.StatusUnauthorized {
+		t.Errorf("GET /v1/jobs?key=: status=%d, want 401", got.StatusCode)
+	}
+	if got := doKeyed(t, http.MethodGet, hs.URL+"/dashboard?key=k-alpha", ""); got.StatusCode != http.StatusOK {
+		t.Errorf("GET /dashboard?key=: status=%d, want 200", got.StatusCode)
+	}
+}
+
+// TestQuotaHoldsUnderConcurrentSubmissions: concurrent submissions cannot
+// both take a tenant's last queued slot, and another tenant's queued job
+// does not count against it.
+func TestQuotaHoldsUnderConcurrentSubmissions(t *testing.T) {
+	_, hs := newTenantServer(t, `{"tenants": [
+		{"name": "lab", "key": "k-lab", "max_queued": 1},
+		{"name": "ops", "key": "k-ops"}
+	]}`, 0)
+	if resp, msg, _ := rawSubmit(t, hs.URL, "k-ops", quickSpec("")); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ops submit: status=%d msg=%q, want 202", resp.StatusCode, msg)
+	}
+
+	const n = 16
+	codes := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(quickSpec(""))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/jobs", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set("X-API-Key", "k-lab")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	got := map[int]int{}
+	for code := range codes {
+		got[code]++
+	}
+	if got[http.StatusAccepted] != 1 || got[http.StatusTooManyRequests] != n-1 {
+		t.Errorf("%d concurrent submissions at max_queued 1: status counts %v, want one 202 and %d 429s", n, got, n-1)
+	}
+}
+
+// TestQueuedJobHoldsQuotaAcrossRestart: a job left queued on disk is
+// re-enqueued with its tenant, so it still holds the tenant's quota.
+func TestQueuedJobHoldsQuotaAcrossRestart(t *testing.T) {
+	const tenants = `{"tenants": [{"name": "lab", "key": "k-lab", "max_queued": 1}]}`
+	stateDir := t.TempDir()
+	_, hs1 := newTenantServerAt(t, stateDir, tenants, 0)
+	if resp, msg, _ := rawSubmit(t, hs1.URL, "k-lab", quickSpec("")); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: status=%d msg=%q, want 202", resp.StatusCode, msg)
+	}
+	hs1.Close()
+
+	// Start under a cancelled context: the backlog is rebuilt but no
+	// worker runs, so the resumed job stays queued.
+	srv2, hs2 := newTenantServerAt(t, stateDir, tenants, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	srv2.Start(ctx)
+	t.Cleanup(srv2.Drain)
+	resp, msg, _ := rawSubmit(t, hs2.URL, "k-lab", quickSpec(""))
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(msg, "quota") {
+		t.Errorf("submit after restart: status=%d msg=%q, want a 429 quota rejection", resp.StatusCode, msg)
+	}
+}
+
+// TestDashboardShowsOnlyTheCallersJobs: in tenant mode the dashboard's
+// job table lists the caller's jobs and no other tenant's.
+func TestDashboardShowsOnlyTheCallersJobs(t *testing.T) {
+	_, hs := newTenantServer(t, `{"tenants": [
+		{"name": "alpha", "key": "k-alpha"},
+		{"name": "beta", "key": "k-beta"}
+	]}`, 0)
+	_, _, mine := rawSubmit(t, hs.URL, "k-alpha", quickSpec(""))
+	_, _, theirs := rawSubmit(t, hs.URL, "k-beta", quickSpec(""))
+	if mine == nil || theirs == nil {
+		t.Fatal("setup submissions were not accepted")
+	}
+	req, err := http.NewRequest(http.MethodGet, hs.URL+"/dashboard", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-API-Key", "k-alpha")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := readBody(t, resp)
+	if !strings.Contains(page, `id="job-`+mine.ID+`"`) {
+		t.Errorf("dashboard misses the caller's job %s", mine.ID)
+	}
+	if strings.Contains(page, theirs.ID) {
+		t.Errorf("dashboard shows another tenant's job %s", theirs.ID)
 	}
 }
 

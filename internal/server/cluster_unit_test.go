@@ -193,7 +193,6 @@ func TestClusterBlobFanout(t *testing.T) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/castore/v1/blobs/", http.StripPrefix("/castore/v1/blobs", castore.Handler(workerBlobs)))
-	mux.Handle("/castore/v1/blobs", castore.Handler(workerBlobs))
 	worker := httptest.NewServer(mux)
 	defer worker.Close()
 	srv.cluster.hello(workerHello{Name: "w", URL: worker.URL})
@@ -230,9 +229,6 @@ func TestClusterBlobFanout(t *testing.T) {
 	}
 
 	// The blob now appears in the coordinator's own /castore/v1 surface.
-	if _, body = get("/castore/v1/blobs"); !strings.Contains(body, id.String()) {
-		t.Fatalf("blob list %q misses the replicated blob", body)
-	}
 	if resp, body = get("/castore/v1/blobs/" + id.String()); resp.StatusCode != http.StatusOK || body != string(blob) {
 		t.Fatalf("node blob fetch: %d %q", resp.StatusCode, body)
 	}

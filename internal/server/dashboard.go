@@ -2,117 +2,56 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
 	"sort"
-	"time"
 
 	"gcsim/internal/telemetry"
 )
 
-// The live dashboard: one server-rendered HTML page at /dashboard and an
-// SSE feed at /dashboard/events keeping it current. The page reuses the
-// same server-side rendering the API does — the job table comes from the
-// store, the latest finished report from Job.RenderReport (internal/
-// report, byte-identical to gcsim's own output) — and the browser-side
-// script only patches what the feed tells it changed: job events from
-// the hub's firehose subscription update table rows, periodic stats
-// events update the tiles and feed the stage-latency sparklines
-// (average seconds per stage over each interval, Δsum/Δcount between
-// consecutive stats frames).
+// The dashboard: one server-rendered HTML page at /dashboard that the
+// browser reloads every 2 s. It reuses the rendering the API does — the
+// job table comes from the store, the latest finished report from
+// Job.RenderReport (internal/report, byte-identical to gcsim's own
+// output) — and carries no script.
 
-// statsInterval paces the periodic stats frames on the SSE feed.
-const statsInterval = time.Second
-
-// dashStats is one stats frame: instantaneous serving state plus
-// cumulative histogram summaries the client differentiates.
-type dashStats struct {
-	QueueDepth    int     `json:"queue_depth"`
-	Workers       int     `json:"workers"`
-	WorkersBusy   int64   `json:"workers_busy"`
-	JobsRunning   int64   `json:"jobs_running"`
-	JobsCompleted uint64  `json:"jobs_completed"`
-	JobsFailed    uint64  `json:"jobs_failed"`
-	TraceHits     uint64  `json:"trace_hits"`
-	TraceMisses   uint64  `json:"trace_misses"`
-	HitRate       float64 `json:"hit_rate"`
-	ShedTotal     uint64  `json:"shed_total"`
-	Preemptions   uint64  `json:"preemptions"`
-	// Stages maps stage name -> cumulative {count, sum seconds}; Job and
-	// Queue are the two first-class families.
-	Job    statsSummary            `json:"job"`
-	Queue  statsSummary            `json:"queue"`
-	Stages map[string]statsSummary `json:"stages"`
-	// SpansDropped counts spans that degraded to counters-only under
-	// load; nonzero is the always-on-cheap design working, not an error.
-	SpansDropped uint64 `json:"spans_dropped"`
-	// Cluster lists the fleet's workers (coordinator only; absent
-	// elsewhere).
-	Cluster []WorkerView `json:"cluster,omitempty"`
-}
-
-type statsSummary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-}
-
-func summaryOf(h *telemetry.Histogram) statsSummary {
-	s := h.Snapshot()
-	return statsSummary{Count: s.Count, Sum: s.Sum}
-}
-
-func (s *Server) dashStatsNow() dashStats {
-	st := dashStats{
-		QueueDepth:    s.pool.depth(),
-		Workers:       s.metrics.Workers,
-		WorkersBusy:   s.metrics.WorkersBusy.Load(),
-		JobsRunning:   s.metrics.JobsRunning.Load(),
-		JobsCompleted: s.metrics.JobsCompleted.Load(),
-		JobsFailed:    s.metrics.JobsFailed.Load(),
-		ShedTotal:     s.metrics.ShedTotal.Load(),
-		Preemptions:   s.metrics.PreemptionsTotal.Load(),
-		Job:           summaryOf(s.metrics.JobSeconds),
-		Queue:         summaryOf(s.metrics.QueueSeconds),
-		Stages:        make(map[string]statsSummary, len(s.metrics.StageSeconds)),
-		SpansDropped:  s.cfg.Spans.Dropped(),
-	}
-	if tc := s.cfg.TraceCache; tc != nil {
-		cs := tc.Stats()
-		st.TraceHits, st.TraceMisses = cs.Hits, cs.Misses
-		if total := cs.Hits + cs.Misses; total > 0 {
-			st.HitRate = float64(cs.Hits) / float64(total)
-		}
-	}
-	for name, h := range s.metrics.StageSeconds {
-		st.Stages[name] = summaryOf(h)
-	}
-	if s.cluster != nil {
-		st.Cluster = s.cluster.views()
-	}
-	return st
-}
-
-// dashboardJob is one row of the server-rendered job table.
+// dashboardJob is one row of the job table.
 type dashboardJob struct {
 	ID, Workload, GC, Tenant, Priority, State, Submitted string
 	Done, Total                                          int
 	Error                                                string
 }
 
+// dashboardStage is one row of the stage table: a latency histogram's
+// count, total seconds and mean seconds.
+type dashboardStage struct {
+	Name      string
+	Count     uint64
+	Sum, Mean float64
+}
+
+func stageRow(name string, h *telemetry.Histogram) dashboardStage {
+	snap := h.Snapshot()
+	row := dashboardStage{Name: name, Count: snap.Count, Sum: snap.Sum}
+	if snap.Count > 0 {
+		row.Mean = snap.Sum / float64(snap.Count)
+	}
+	return row
+}
+
 var dashboardTmpl = template.Must(template.New("dashboard").Funcs(template.FuncMap{
-	"pct": func(f float64) string { return fmt.Sprintf("%.0f%%", f*100) },
+	"pct":  func(f float64) string { return fmt.Sprintf("%.0f%%", f*100) },
+	"secs": func(f float64) string { return fmt.Sprintf("%.3f", f) },
 }).Parse(dashboardHTML))
 
-// handleDashboard renders the dashboard page: current job table, stat
-// tiles, and the most recent finished job's report, all server-side; the
-// embedded script then keeps the page live from /dashboard/events.
+// handleDashboard renders the page: stat tiles, the fleet table on a
+// coordinator, the caller's jobs, one row per latency histogram, and the
+// most recent finished job's report.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	jobs := s.store.List()
-	rows := make([]dashboardJob, 0, len(jobs))
+	var rows []dashboardJob
 	var latestReport, latestReportJob string
-	for _, j := range jobs {
+	for _, j := range s.store.List() {
 		// Tenant mode: the dashboard is authenticated per tenant, not an
 		// operator view — each tenant sees its own jobs only.
 		if !s.ownedBy(r, j) {
@@ -131,15 +70,42 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	stages := make([]string, 0, len(s.metrics.StageSeconds))
-	for name := range s.metrics.StageSeconds {
-		stages = append(stages, name)
-	}
-	sort.Strings(stages)
 
+	stages := []dashboardStage{
+		stageRow(telemetry.StageJob, s.metrics.JobSeconds),
+		stageRow(telemetry.StageQueue, s.metrics.QueueSeconds),
+	}
+	names := make([]string, 0, len(s.metrics.StageSeconds))
+	for name := range s.metrics.StageSeconds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		stages = append(stages, stageRow(name, s.metrics.StageSeconds[name]))
+	}
+
+	var hitRate float64
+	if tc := s.cfg.TraceCache; tc != nil {
+		if st := tc.Stats(); st.Hits+st.Misses > 0 {
+			hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
+		}
+	}
+	var fleet []WorkerView
+	if s.cluster != nil {
+		fleet = s.cluster.views()
+	}
 	data := map[string]any{
+		"WorkersBusy":     s.metrics.WorkersBusy.Load(),
+		"Workers":         s.metrics.Workers,
+		"QueueDepth":      s.pool.depth(),
+		"JobsRunning":     s.metrics.JobsRunning.Load(),
+		"JobsCompleted":   s.metrics.JobsCompleted.Load(),
+		"HitRate":         hitRate,
+		"Shed":            s.metrics.ShedTotal.Load(),
+		"Preemptions":     s.metrics.PreemptionsTotal.Load(),
+		"SpansDropped":    s.cfg.Spans.Dropped(),
+		"Fleet":           fleet,
 		"Jobs":            rows,
-		"Stats":           s.dashStatsNow(),
 		"Stages":          stages,
 		"LatestReport":    latestReport,
 		"LatestReportJob": latestReportJob,
@@ -153,84 +119,14 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleDashboardEvents is the SSE feed: a stats frame immediately on
-// connect (so the page paints without waiting a tick), then job events
-// as the hub publishes them and a stats frame every statsInterval.
-func (s *Server) handleDashboardEvents(w http.ResponseWriter, r *http.Request) {
-	ch, cancel := s.hub.subscribeAll()
-	defer cancel()
-
-	// In tenant mode the firehose narrows to the caller's own jobs, same
-	// as the page's table. State events carry their tenant; config events
-	// don't, so their owner is resolved from the store once per job and
-	// memoized for the life of this stream.
-	owner := make(map[string]string)
-	visible := func(e Event) bool {
-		if s.tenants.Open() {
-			return true
-		}
-		name, ok := e.Tenant, e.Tenant != ""
-		if !ok {
-			if name, ok = owner[e.Job]; !ok {
-				if j, found := s.store.Get(e.Job); found {
-					name = j.Tenant
-				}
-			}
-		}
-		owner[e.Job] = name
-		return name == tenantFrom(r.Context()).Name()
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-
-	emit := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	if !emit("stats", s.dashStatsNow()) {
-		return
-	}
-
-	tick := time.NewTicker(statsInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case e, open := <-ch:
-			if !open {
-				return
-			}
-			if !visible(e) {
-				continue
-			}
-			if !emit("job", e) {
-				return
-			}
-		case <-tick.C:
-			if !emit("stats", s.dashStatsNow()) {
-				return
-			}
-		}
-	}
-}
-
-// dashboardHTML is the page template. Styling and scripting are inlined
-// so the dashboard is a single self-contained document — easy to save as
-// a snapshot artifact (server_smoke.sh does) and zero extra routes.
+// dashboardHTML is the page template. Styling is inlined so the
+// dashboard is a single self-contained document — easy to save as a
+// snapshot artifact (server_smoke.sh does).
 const dashboardHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
+<meta http-equiv="refresh" content="2">
 <title>gcsimd dashboard</title>
 <style>
   :root { --bg:#11151a; --panel:#1a2028; --ink:#d8dee6; --dim:#7d8a99; --acc:#58a6ff; --ok:#3fb950; --bad:#f85149; --warn:#d29922; }
@@ -245,32 +141,30 @@ const dashboardHTML = `<!DOCTYPE html>
   th { color:var(--dim); font-weight:normal; font-size:0.78rem; text-transform:uppercase; letter-spacing:0.06em; }
   td.state-done { color:var(--ok); } td.state-failed, td.state-cancelled { color:var(--bad); }
   td.state-running { color:var(--acc); } td.state-queued, td.state-interrupted, td.state-preempted { color:var(--warn); }
-  .spark { display:inline-block; vertical-align:middle; }
-  .stage-row td { font-size:0.85rem; }
   pre { background:var(--panel); border-radius:6px; padding:0.8rem 1rem; overflow-x:auto; font-size:0.82rem; }
   .muted { color:var(--dim); }
 </style>
 </head>
 <body>
-<h1>gcsimd <span class="muted">live dashboard</span></h1>
+<h1>gcsimd <span class="muted">dashboard</span></h1>
 
 <div class="tiles">
-  <div class="tile"><div class="v" id="t-workers">{{.Stats.WorkersBusy}}/{{.Stats.Workers}}</div><div class="k">workers busy</div></div>
-  <div class="tile"><div class="v" id="t-queue">{{.Stats.QueueDepth}}</div><div class="k">jobs queued</div></div>
-  <div class="tile"><div class="v" id="t-running">{{.Stats.JobsRunning}}</div><div class="k">jobs running</div></div>
-  <div class="tile"><div class="v" id="t-completed">{{.Stats.JobsCompleted}}</div><div class="k">jobs completed</div></div>
-  <div class="tile"><div class="v" id="t-hitrate">{{pct .Stats.HitRate}}</div><div class="k">trace-cache hit rate</div></div>
-  <div class="tile"><div class="v" id="t-shed">{{.Stats.ShedTotal}}</div><div class="k">submissions shed</div></div>
-  <div class="tile"><div class="v" id="t-preempted">{{.Stats.Preemptions}}</div><div class="k">preemptions</div></div>
-  <div class="tile"><div class="v" id="t-dropped">{{.Stats.SpansDropped}}</div><div class="k">spans → counters-only</div></div>
+  <div class="tile"><div class="v">{{.WorkersBusy}}/{{.Workers}}</div><div class="k">workers busy</div></div>
+  <div class="tile"><div class="v">{{.QueueDepth}}</div><div class="k">jobs queued</div></div>
+  <div class="tile"><div class="v">{{.JobsRunning}}</div><div class="k">jobs running</div></div>
+  <div class="tile"><div class="v">{{.JobsCompleted}}</div><div class="k">jobs completed</div></div>
+  <div class="tile"><div class="v">{{pct .HitRate}}</div><div class="k">trace-cache hit rate</div></div>
+  <div class="tile"><div class="v">{{.Shed}}</div><div class="k">submissions shed</div></div>
+  <div class="tile"><div class="v">{{.Preemptions}}</div><div class="k">preemptions</div></div>
+  <div class="tile"><div class="v">{{.SpansDropped}}</div><div class="k">spans → counters-only</div></div>
 </div>
 
-{{if .Stats.Cluster}}
+{{if .Fleet}}
 <h2>Fleet</h2>
 <table id="fleet">
   <thead><tr><th>worker</th><th>url</th><th>alive</th><th>recorded</th><th>remote fetches</th><th>hits</th><th>running</th><th>last seen</th></tr></thead>
   <tbody>
-  {{range .Stats.Cluster}}<tr id="fleet-{{.Name}}"><td>{{.Name}}</td><td>{{.URL}}</td><td class="{{if .Alive}}state-done{{else}}state-failed{{end}}">{{if .Alive}}alive{{else}}dead{{end}}</td><td>{{.Stats.TraceRecorded}}</td><td>{{.Stats.RemoteFetches}}</td><td>{{.Stats.TraceHits}}</td><td>{{.Stats.JobsRunning}}</td><td>{{.LastSeen}}</td></tr>
+  {{range .Fleet}}<tr id="fleet-{{.Name}}"><td>{{.Name}}</td><td>{{.URL}}</td><td class="{{if .Alive}}state-done{{else}}state-failed{{end}}">{{if .Alive}}alive{{else}}dead{{end}}</td><td>{{.Stats.TraceRecorded}}</td><td>{{.Stats.RemoteFetches}}</td><td>{{.Stats.TraceHits}}</td><td>{{.Stats.JobsRunning}}</td><td>{{.LastSeen}}</td></tr>
   {{end}}
   </tbody>
 </table>
@@ -285,13 +179,11 @@ const dashboardHTML = `<!DOCTYPE html>
   </tbody>
 </table>
 
-<h2>Stage latency <span class="muted">(avg seconds per interval)</span></h2>
+<h2>Stage latency</h2>
 <table id="stages">
-  <thead><tr><th>stage</th><th>count</th><th>total s</th><th>trend</th></tr></thead>
+  <thead><tr><th>stage</th><th>count</th><th>total s</th><th>mean s</th></tr></thead>
   <tbody>
-  <tr class="stage-row" id="stage-job"><td>job</td><td class="c">0</td><td class="s">0</td><td><canvas class="spark" width="120" height="22"></canvas></td></tr>
-  <tr class="stage-row" id="stage-queue"><td>queue</td><td class="c">0</td><td class="s">0</td><td><canvas class="spark" width="120" height="22"></canvas></td></tr>
-  {{range .Stages}}<tr class="stage-row" id="stage-{{.}}"><td>{{.}}</td><td class="c">0</td><td class="s">0</td><td><canvas class="spark" width="120" height="22"></canvas></td></tr>
+  {{range .Stages}}<tr id="stage-{{.Name}}"><td>{{.Name}}</td><td>{{.Count}}</td><td>{{secs .Sum}}</td><td>{{secs .Mean}}</td></tr>
   {{end}}
   </tbody>
 </table>
@@ -300,103 +192,6 @@ const dashboardHTML = `<!DOCTYPE html>
 <h2>Latest report <span class="muted">({{.LatestReportJob}})</span></h2>
 <pre id="report">{{.LatestReport}}</pre>
 {{end}}
-
-<script>
-(() => {
-  const hist = {};          // stage -> [{count,sum}, ...] recent summaries
-  const SPARK_N = 60;       // keep a minute of 1s frames
-
-  function fmtCount(n) { return n.toLocaleString("en-US"); }
-
-  function spark(canvas, values) {
-    const ctx = canvas.getContext("2d");
-    const w = canvas.width, h = canvas.height;
-    ctx.clearRect(0, 0, w, h);
-    if (values.length < 2) return;
-    const max = Math.max(...values, 1e-9);
-    ctx.strokeStyle = "#58a6ff";
-    ctx.lineWidth = 1.2;
-    ctx.beginPath();
-    values.forEach((v, i) => {
-      const x = i * (w - 2) / (SPARK_N - 1) + 1;
-      const y = h - 2 - (v / max) * (h - 4);
-      i === 0 ? ctx.moveTo(x, y) : ctx.lineTo(x, y);
-    });
-    ctx.stroke();
-  }
-
-  function updateStage(name, cur) {
-    const row = document.getElementById("stage-" + name);
-    if (!row || !cur) return;
-    row.querySelector(".c").textContent = fmtCount(cur.count);
-    row.querySelector(".s").textContent = cur.sum.toFixed(3);
-    const hs = hist[name] || (hist[name] = []);
-    const prev = hs.length ? hs[hs.length - 1] : null;
-    hs.push(cur);
-    if (hs.length > SPARK_N + 1) hs.shift();
-    // Sparkline point: average seconds of the spans that ended in this
-    // interval (Δsum/Δcount between consecutive frames; 0 when idle).
-    const pts = [];
-    for (let i = 1; i < hs.length; i++) {
-      const dc = hs[i].count - hs[i-1].count;
-      pts.push(dc > 0 ? (hs[i].sum - hs[i-1].sum) / dc : 0);
-    }
-    spark(row.querySelector("canvas"), pts);
-    void prev;
-  }
-
-  function onStats(st) {
-    document.getElementById("t-workers").textContent = st.workers_busy + "/" + st.workers;
-    document.getElementById("t-queue").textContent = st.queue_depth;
-    document.getElementById("t-running").textContent = st.jobs_running;
-    document.getElementById("t-completed").textContent = st.jobs_completed;
-    document.getElementById("t-hitrate").textContent = Math.round(st.hit_rate * 100) + "%";
-    document.getElementById("t-shed").textContent = st.shed_total;
-    document.getElementById("t-preempted").textContent = st.preemptions;
-    document.getElementById("t-dropped").textContent = st.spans_dropped;
-    updateStage("job", st.job);
-    updateStage("queue", st.queue);
-    for (const [name, cur] of Object.entries(st.stages || {})) updateStage(name, cur);
-    for (const w of st.cluster || []) {
-      const row = document.getElementById("fleet-" + w.name);
-      if (!row) continue;
-      const c = row.children;
-      c[2].textContent = w.alive ? "alive" : "dead";
-      c[2].className = w.alive ? "state-done" : "state-failed";
-      c[3].textContent = w.stats.trace_recorded;
-      c[4].textContent = w.stats.remote_fetches;
-      c[5].textContent = w.stats.trace_hits;
-      c[6].textContent = w.stats.jobs_running;
-      c[7].textContent = w.last_seen;
-    }
-  }
-
-  function onJob(e) {
-    let row = document.getElementById("job-" + e.job);
-    if (!row) {
-      row = document.createElement("tr");
-      row.id = "job-" + e.job;
-      row.innerHTML = "<td>" + e.job + "</td><td></td><td></td><td></td><td></td><td></td><td></td><td></td><td></td>";
-      document.querySelector("#jobs tbody").prepend(row);
-    }
-    const cells = row.children;
-    if (e.tenant) cells[3].textContent = e.tenant;
-    if (e.priority) cells[4].textContent = e.priority;
-    if (e.type === "state") {
-      cells[5].textContent = e.state || "";
-      cells[5].className = "state-" + (e.state || "");
-      if (e.error) cells[8].textContent = e.error;
-    }
-    if (e.total) cells[6].textContent = (e.done || 0) + "/" + e.total;
-  }
-
-  // location.search forwards the ?key= credential in tenant mode —
-  // EventSource cannot set an Authorization header.
-  const es = new EventSource("/dashboard/events" + location.search);
-  es.addEventListener("stats", ev => onStats(JSON.parse(ev.data)));
-  es.addEventListener("job", ev => onJob(JSON.parse(ev.data)));
-})();
-</script>
 </body>
 </html>
 `

@@ -15,15 +15,6 @@ import (
 // charged to the subscriber that fell behind and surfaced through the
 // dropped hook (gcsimd_sse_dropped_total{reason=...}), so shedding is
 // attributable instead of silent.
-//
-// Besides per-job subscribers, the hub carries firehose subscribers
-// (subscribeAll) — the dashboard's feed. The firehose is a broadcast
-// ring: publish writes one slot and broadcasts, O(1) regardless of how
-// many subscribers are attached, and each subscriber's pump goroutine
-// chases the ring at its own pace. A pump that falls more than the ring
-// capacity behind skips forward and counts the overrun against that
-// subscriber. Firehose channels are never closed by job termination;
-// they live until their subscriber cancels.
 type eventHub struct {
 	// observe, when non-nil, is called with each publish's fan-out
 	// duration — how long delivering the event to every subscriber took.
@@ -34,14 +25,10 @@ type eventHub struct {
 	dropped func(reason string, n uint64)
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast: the ring advanced (or a pump was cancelled)
 	events map[string][]Event
 	subs   map[string]map[int]*hubSub
 	closed map[string]bool
 	nextID int
-
-	ring    [ringCap]Event
-	ringSeq uint64 // next sequence number to write; ring[seq%ringCap]
 }
 
 // hubSub is one per-job subscriber: its channel and how many events it
@@ -51,43 +38,32 @@ type hubSub struct {
 	dropped uint64
 }
 
-// Drop reasons: the `reason` label on gcsimd_sse_dropped_total.
-const (
-	// DropSlowSubscriber: a per-job subscriber's buffer was full.
-	DropSlowSubscriber = "slow_subscriber"
-	// DropRingOverrun: a firehose subscriber fell more than the ring
-	// capacity behind and was skipped forward.
-	DropRingOverrun = "ring_overrun"
-)
+// DropSlowSubscriber is the `reason` label on gcsimd_sse_dropped_total
+// for an event dropped because a per-job subscriber's buffer was full.
+const DropSlowSubscriber = "slow_subscriber"
 
 // dropReasons fixes the exposition order of the reason label.
-var dropReasons = []string{DropRingOverrun, DropSlowSubscriber}
+var dropReasons = []string{DropSlowSubscriber}
 
 // subChanCap bounds each subscriber's in-flight buffer. A sweep emits one
 // event per configuration, so 256 covers any realistic job with room to
 // spare; a reader further behind than that loses progress lines only.
 const subChanCap = 256
 
-// ringCap is the firehose broadcast ring's capacity: how far a dashboard
-// connection may lag before it starts losing events.
-const ringCap = 1024
-
 func newEventHub(observe func(time.Duration), dropped func(reason string, n uint64)) *eventHub {
-	h := &eventHub{
+	return &eventHub{
 		observe: observe,
 		dropped: dropped,
 		events:  make(map[string][]Event),
 		subs:    make(map[string]map[int]*hubSub),
 		closed:  make(map[string]bool),
 	}
-	h.cond = sync.NewCond(&h.mu)
-	return h
 }
 
-// publish appends the event to the job's history, delivers it to live
-// per-job subscribers, and advances the broadcast ring. A terminal state
-// event also closes the job's stream: all per-job subscriber channels
-// are closed and later subscribers get replay only.
+// publish appends the event to the job's history and delivers it to live
+// per-job subscribers. A terminal state event also closes the job's
+// stream: all per-job subscriber channels are closed and later
+// subscribers get replay only.
 func (h *eventHub) publish(e Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -109,9 +85,6 @@ func (h *eventHub) publish(e Event) {
 	if slow > 0 && h.dropped != nil {
 		h.dropped(DropSlowSubscriber, slow)
 	}
-	h.ring[h.ringSeq%ringCap] = e
-	h.ringSeq++
-	h.cond.Broadcast()
 	if terminal {
 		h.closed[e.Job] = true
 		for _, sub := range h.subs[e.Job] {
@@ -153,77 +126,6 @@ func (h *eventHub) subscribe(jobID string) (replay []Event, ch chan Event, cance
 		}
 	}
 	return replay, sub.ch, cancel
-}
-
-// subscribeAll attaches a firehose subscriber that receives every job's
-// events from now on, pumped from the broadcast ring. The channel is
-// only closed by cancel — job termination never closes it — so one
-// dashboard connection can watch any number of jobs come and go.
-func (h *eventHub) subscribeAll() (ch chan Event, cancel func()) {
-	ch = make(chan Event, subChanCap)
-	done := make(chan struct{})
-	h.mu.Lock()
-	cursor := h.ringSeq
-	h.mu.Unlock()
-	go h.pump(ch, done, cursor)
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			close(done)
-			// Nudge a pump parked in cond.Wait so it sees done.
-			h.mu.Lock()
-			h.cond.Broadcast()
-			h.mu.Unlock()
-		})
-	}
-	return ch, cancel
-}
-
-// pump chases the broadcast ring on behalf of one firehose subscriber,
-// copying batches out under the lock and delivering them without it (so
-// a stalled subscriber stalls only its own pump). Falling more than
-// ringCap behind skips the cursor forward and counts the skipped events
-// as drops.
-func (h *eventHub) pump(ch chan Event, done chan struct{}, cursor uint64) {
-	defer close(ch)
-	for {
-		h.mu.Lock()
-		for cursor == h.ringSeq && !isClosed(done) {
-			h.cond.Wait()
-		}
-		if isClosed(done) {
-			h.mu.Unlock()
-			return
-		}
-		if lag := h.ringSeq - cursor; lag > ringCap {
-			skipped := lag - ringCap
-			if h.dropped != nil {
-				h.dropped(DropRingOverrun, skipped)
-			}
-			cursor = h.ringSeq - ringCap
-		}
-		batch := make([]Event, 0, h.ringSeq-cursor)
-		for ; cursor < h.ringSeq; cursor++ {
-			batch = append(batch, h.ring[cursor%ringCap])
-		}
-		h.mu.Unlock()
-		for _, e := range batch {
-			select {
-			case ch <- e:
-			case <-done:
-				return
-			}
-		}
-	}
-}
-
-func isClosed(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
 }
 
 // seed records history for a job the hub has never seen (a job loaded

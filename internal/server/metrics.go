@@ -116,10 +116,11 @@ type metricRow struct {
 }
 
 // WriteText writes the exposition page. tc may be nil (trace cache
-// disabled); queued is the current queue depth; tenants may be nil (no
-// per-tenant families); cluster is non-nil only on a coordinator, which
-// additionally exports the fleet families.
-func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenants *TenantRegistry, cluster *clusterState) {
+// disabled); queued is the current queue depth; tenants holds one entry
+// per tenant for the per-tenant families (none when empty); cluster is
+// non-nil only on a coordinator, which additionally exports the fleet
+// families.
+func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenants []TenantStats, cluster *clusterState) {
 	var hits, misses, recorded, remoteFetches uint64
 	if tc != nil {
 		st := tc.Stats()
@@ -152,13 +153,13 @@ func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenant
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", r.name, r.help, r.name, r.kind, r.name, r.value)
 	}
 
-	fmt.Fprintf(w, "# HELP gcsimd_sse_dropped_total Events dropped by the hub, by reason (slow_subscriber: a per-job reader's buffer was full; ring_overrun: a firehose reader fell behind the broadcast ring).\n# TYPE gcsimd_sse_dropped_total counter\n")
+	fmt.Fprintf(w, "# HELP gcsimd_sse_dropped_total Events dropped by the hub, by reason (slow_subscriber: a per-job reader's buffer was full).\n# TYPE gcsimd_sse_dropped_total counter\n")
 	for _, reason := range dropReasons {
 		fmt.Fprintf(w, "gcsimd_sse_dropped_total{reason=%q} %d\n", reason, m.SSEDropped[reason].Load())
 	}
 
-	if tenants != nil {
-		writeTenantMetrics(w, tenants.Stats())
+	if len(tenants) > 0 {
+		writeTenantMetrics(w, tenants)
 	}
 	if cluster != nil {
 		writeClusterMetrics(w, cluster, recorded, remoteFetches)

@@ -2,10 +2,9 @@ package server_test
 
 // Observability end-to-end tests: the span tree a job leaves behind, the
 // Prometheus exposition (content type, HELP/TYPE, latency histograms),
-// the /healthz probe, and the live dashboard (HTML page + SSE stream).
+// the /healthz probe, and the server-rendered dashboard.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -299,79 +298,13 @@ func TestE2EDashboard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// Open the SSE stream before the job runs so its events are live.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.BaseURL+"/dashboard/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/dashboard/events Content-Type = %q", ct)
-	}
-
-	// frames() reads SSE frames into (event, data) pairs.
-	sc := bufio.NewScanner(resp.Body)
-	nextFrame := func() (string, string) {
-		t.Helper()
-		var event, data string
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
-			case line == "" && event != "":
-				return event, data
-			}
-		}
-		t.Fatalf("SSE stream ended early: %v", sc.Err())
-		return "", ""
-	}
-
-	// The hub pushes a stats frame immediately on connect.
-	event, data := nextFrame()
-	if event != "stats" {
-		t.Fatalf("first SSE frame = %q, want stats", event)
-	}
-	var stats struct {
-		Workers       int     `json:"workers"`
-		QueueDepth    int     `json:"queue_depth"`
-		JobsCompleted int64   `json:"jobs_completed"`
-		HitRate       float64 `json:"hit_rate"`
-	}
-	if err := json.Unmarshal([]byte(data), &stats); err != nil {
-		t.Fatalf("stats frame is not JSON: %v\n%s", err, data)
-	}
-	if stats.Workers != 1 {
-		t.Errorf("stats frame: %+v", stats)
-	}
-
-	// A running job shows up as live job frames on the firehose.
 	job, err := cl.Run(ctx, smallSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawDone := false
-	for !sawDone {
-		event, data = nextFrame()
-		if event != "job" {
-			continue // interleaved stats ticks
-		}
-		var ev server.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("job frame is not JSON: %v\n%s", err, data)
-		}
-		if ev.Job == job.ID && ev.Type == "state" && ev.State == server.StateDone {
-			sawDone = true
-		}
-	}
 
-	// The dashboard page itself renders the job table server-side.
+	// The page renders the job table and the finished job's report
+	// server-side.
 	presp, err := http.Get(cl.BaseURL + "/dashboard")
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +319,7 @@ func TestE2EDashboard(t *testing.T) {
 	}
 	html := string(page)
 	for _, want := range []string{
-		"id=\"jobs\"", "id=\"stages\"", "/dashboard/events",
+		"id=\"jobs\"", "id=\"stages\"", `id="report"`, `http-equiv="refresh"`,
 		"job-" + job.ID, // the finished job's table row
 		"stage-sweep",   // one row per stage
 	} {

@@ -13,10 +13,8 @@ import (
 // heap ordered by scheduling class (interactive > batch > bulk), FIFO
 // within a class, so the highest-priority work always dispatches first.
 // Each entry is stamped with its enqueue time (the start of the job's
-// queue span). Before a worker picks an entry up the pool consults the
-// admit gate — the tenant concurrency quota — and defers entries whose
-// tenant is already running at quota; kick() wakes the workers to rescan
-// when a slot frees.
+// queue span) and carries its tenant, whose queued count is the number
+// of its entries.
 //
 // Draining cancels the run context — the PR-3 cancellation plumbing
 // interrupts the machines at their next safepoint, the resilient sweep
@@ -25,10 +23,6 @@ import (
 // re-enqueued by the next server.
 type pool struct {
 	run func(ctx context.Context, id string, queuedAt time.Time, class int)
-	// admit, when non-nil, gates dispatch: false leaves the entry queued
-	// and the worker tries the next-best one. Called with the pool lock
-	// held; it must only take leaf locks (store shard, tenant).
-	admit func(id string) bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -44,10 +38,11 @@ type pool struct {
 
 // queued is one backlog entry.
 type queued struct {
-	id    string
-	class int
-	seq   uint64 // FIFO tiebreak within a class
-	at    time.Time
+	id     string
+	tenant string
+	class  int
+	seq    uint64 // FIFO tiebreak within a class
+	at     time.Time
 }
 
 // jobHeap orders the backlog: higher class first, then lower sequence
@@ -76,8 +71,8 @@ func (h *jobHeap) Pop() any {
 // at the configured high-water mark.
 const queueCap = 1024
 
-func newPool(run func(ctx context.Context, id string, queuedAt time.Time, class int), admit func(id string) bool) *pool {
-	p := &pool{run: run, admit: admit}
+func newPool(run func(ctx context.Context, id string, queuedAt time.Time, class int)) *pool {
+	p := &pool{run: run}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -115,41 +110,22 @@ func (p *pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		q, ok := p.nextLocked()
-		if !ok {
+		if p.backlog.Len() == 0 {
 			p.idle++
 			p.cond.Wait()
 			p.idle--
 			continue
 		}
+		q := heap.Pop(&p.backlog).(queued)
 		p.mu.Unlock()
 		p.run(p.ctx, q.id, q.at, q.class)
 		p.mu.Lock()
 	}
 }
 
-// nextLocked pops the best dispatchable entry: highest class, FIFO
-// within it, skipping entries the admit gate defers (their tenant is
-// running at quota). Deferred entries go straight back on the heap.
-func (p *pool) nextLocked() (queued, bool) {
-	var deferred []queued
-	defer func() {
-		for _, d := range deferred {
-			heap.Push(&p.backlog, d)
-		}
-	}()
-	for p.backlog.Len() > 0 {
-		q := heap.Pop(&p.backlog).(queued)
-		if p.admit == nil || p.admit(q.id) {
-			return q, true
-		}
-		deferred = append(deferred, q)
-	}
-	return queued{}, false
-}
-
-// submit enqueues a job at the given scheduling class without blocking.
-func (p *pool) submit(id string, class int, at time.Time) error {
+// submit enqueues a tenant's job at the given scheduling class without
+// blocking.
+func (p *pool) submit(id, tenant string, class int, at time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.drained {
@@ -159,20 +135,30 @@ func (p *pool) submit(id string, class int, at time.Time) error {
 		return fmt.Errorf("server: job queue full (%d pending)", queueCap)
 	}
 	p.seq++
-	heap.Push(&p.backlog, queued{id: id, class: class, seq: p.seq, at: at})
+	heap.Push(&p.backlog, queued{id: id, tenant: tenant, class: class, seq: p.seq, at: at})
 	p.cond.Signal()
 	return nil
 }
 
-// remove drops every backlog entry for id (a job cancelled while queued)
-// and reports how many it dropped.
-func (p *pool) remove(id string) int {
+// remove drops every backlog entry for id (a job cancelled while queued).
+func (p *pool) remove(id string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.backlog)
 	p.backlog = slices.DeleteFunc(p.backlog, func(q queued) bool { return q.id == id })
 	heap.Init(&p.backlog)
-	return n - len(p.backlog)
+}
+
+// queuedFor counts the tenant's backlog entries.
+func (p *pool) queuedFor(tenant string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, q := range p.backlog {
+		if q.tenant == tenant {
+			n++
+		}
+	}
+	return n
 }
 
 // depth reports the current backlog.
@@ -187,15 +173,6 @@ func (p *pool) idleWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.idle
-}
-
-// kick wakes every parked worker to rescan the backlog — a tenant's
-// concurrency slot freed up, so a previously deferred entry may now
-// dispatch.
-func (p *pool) kick() {
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
 
 // drain cancels the run context and waits for the workers to finish

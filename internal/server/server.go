@@ -42,8 +42,9 @@ type Config struct {
 	// core.SetSpans so engine spans land in the same tree; the server
 	// claims the recorder's OnEnd hook to feed its latency histograms.
 	Spans *telemetry.SpanRecorder
-	// Tenants authenticates and rate-limits every /v1 request. Nil runs
-	// the server open: no API keys, one unlimited anonymous tenant.
+	// Tenants authenticates every /v1 request and holds each tenant's
+	// queued-job quota. Nil runs the server open: no API keys, one
+	// unlimited anonymous tenant.
 	Tenants *TenantRegistry
 	// QueueHighWater is the backlog depth at which submissions start
 	// being shed with 429 + Retry-After (default defaultHighWater,
@@ -101,8 +102,10 @@ type Server struct {
 	cancelled map[string]bool // jobs cancelled via the API (vs drained)
 }
 
-// runningJob tracks one executing job for the cancel and preempt paths.
+// runningJob tracks one executing job for the cancel and preempt paths
+// and its tenant's running count.
 type runningJob struct {
+	tenant     string
 	class      int
 	since      time.Time
 	preempt    context.CancelCauseFunc
@@ -168,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 	// Every ended span — the server's lifecycle stages and the engine's
 	// sweep-internal ones alike — feeds the per-stage histograms.
 	cfg.Spans.SetOnEnd(s.metrics.ObserveSpan)
-	s.pool = newPool(s.runJob, s.admitRun)
+	s.pool = newPool(s.runJob)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -180,14 +183,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
-	s.mux.HandleFunc("GET /dashboard/events", s.handleDashboardEvents)
 	if cfg.TraceCache != nil {
 		// Every node (standalone included) serves its local blob layer
 		// read-only so peers can fetch any recorded trace by content hash.
-		// GET patterns also answer HEAD; POST and DELETE get 405.
-		blobs := http.StripPrefix("/castore/v1/blobs", castore.Handler(cfg.TraceCache.LocalBlobs()))
-		s.mux.Handle("GET /castore/v1/blobs", blobs)
-		s.mux.Handle("GET /castore/v1/blobs/{id}", blobs)
+		s.mux.Handle("GET /castore/v1/blobs/{id}", http.StripPrefix("/castore/v1/blobs", castore.Handler(cfg.TraceCache.LocalBlobs())))
 	}
 	switch cfg.Role {
 	case RoleCoordinator:
@@ -204,9 +203,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Handler returns the HTTP API: the /v1 routes behind tenant
-// authentication — and, in tenant mode, the dashboard too, since its
-// firehose carries every tenant's events — with /metrics and /healthz
-// always open: probes and scrapers don't carry tenant keys.
+// authentication — and, in tenant mode, the dashboard too, which shows
+// the caller's own jobs — with /metrics and /healthz always open:
+// probes and scrapers don't carry tenant keys.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.needsAuth(r.URL.Path) {
@@ -224,15 +223,12 @@ func (s *Server) Handler() http.Handler {
 
 // needsAuth reports whether a path authenticates. /v1 always does; the
 // dashboard joins it once the registry is closed — anonymous visitors
-// must not watch every tenant's job stream.
+// must not watch any tenant's jobs.
 func (s *Server) needsAuth(path string) bool {
 	if strings.HasPrefix(path, "/v1/") {
 		return true
 	}
-	if s.tenants.Open() {
-		return false
-	}
-	return path == "/dashboard" || strings.HasPrefix(path, "/dashboard/")
+	return !s.tenants.Open() && path == "/dashboard"
 }
 
 // tenantCtxKey carries the authenticated *Tenant through the request
@@ -246,8 +242,9 @@ func tenantFrom(ctx context.Context) *Tenant {
 }
 
 // apiKey extracts the request's API key: "Authorization: Bearer <key>",
-// the X-API-Key header, or a ?key= query parameter — the last for the
-// dashboard's EventSource, which cannot set headers.
+// the X-API-Key header, or, on /dashboard only, a ?key= query parameter
+// for a browser, which cannot set headers. Keys in URLs land in access
+// logs and shell history, so no other route reads one.
 func apiKey(r *http.Request) string {
 	if auth := r.Header.Get("Authorization"); auth != "" {
 		if key, ok := strings.CutPrefix(auth, "Bearer "); ok {
@@ -257,7 +254,10 @@ func apiKey(r *http.Request) string {
 	if key := r.Header.Get("X-API-Key"); key != "" {
 		return key
 	}
-	return r.URL.Query().Get("key")
+	if r.URL.Path == "/dashboard" {
+		return r.URL.Query().Get("key")
+	}
+	return ""
 }
 
 // ownedBy reports whether the request's tenant may see and act on job j.
@@ -299,7 +299,7 @@ func (s *Server) Start(ctx context.Context) {
 		}
 		s.hub.seed(j)
 		class, _ := PriorityClass(j.Priority) // old jobs have no priority: batch
-		s.enqueue(id, s.tenants.ByName(j.Tenant), class)
+		s.enqueue(id, j.Tenant, class)
 	}
 	s.pool.start(ctx, s.cfg.Workers)
 	if s.worker != nil {
@@ -307,13 +307,11 @@ func (s *Server) Start(ctx context.Context) {
 	}
 }
 
-// enqueue puts a resumable job back in the backlog at its class and
-// accounts it as queued for its tenant. A pool that refuses it (draining,
+// enqueue puts a resumable job back in the backlog at its class, where
+// it counts against its tenant's quota. A pool that refuses it (draining,
 // or full) leaves the job persisted as queued for the next process.
-func (s *Server) enqueue(id string, t *Tenant, class int) {
-	t.requeue()
-	if err := s.pool.submit(id, class, time.Now()); err != nil {
-		t.dropQueued()
+func (s *Server) enqueue(id, tenant string, class int) {
+	if err := s.pool.submit(id, tenant, class, time.Now()); err != nil {
 		s.logf("re-enqueue job %s: %v", id, err)
 	}
 }
@@ -357,24 +355,15 @@ func nowRFC3339() string { return time.Now().UTC().Format(time.RFC3339) }
 // durations sum exactly to the job's wall time by construction.
 func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, class int) {
 	j, ok := s.store.Get(id)
-	// The dispatch gate took a tenant concurrency slot for this entry;
-	// give it back however the run ends, then wake the workers — a
-	// deferred entry of the same tenant may now be dispatchable.
-	var tenant *Tenant
-	if ok {
-		tenant = s.tenants.ByName(j.Tenant)
-	}
-	requeue := false
-	defer func() {
-		tenant.releaseRun()
-		if requeue {
-			s.enqueue(id, tenant, class)
-		}
-		s.pool.kick()
-	}()
 	if !ok || j.Terminal() {
 		return // cancelled while queued, or stale queue entry
 	}
+	requeue := false
+	defer func() {
+		if requeue {
+			s.enqueue(id, j.Tenant, class)
+		}
+	}()
 	spec := j.Spec
 
 	jctx, cancel := context.WithCancelCause(ctx)
@@ -386,7 +375,7 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 		cancel(nil)
 		return
 	}
-	s.running[id] = &runningJob{class: class, since: time.Now(), preempt: cancel}
+	s.running[id] = &runningJob{tenant: j.Tenant, class: class, since: time.Now(), preempt: cancel}
 	s.mu.Unlock()
 	defer func() {
 		cancel(nil)
@@ -614,38 +603,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Tenant-scoped admission: priority ceiling, queued-job quota, token
-	// bucket. The bucket knows its own refill time; the quota rejection
-	// borrows the latency estimate, same as shedding.
-	if aerr := tenant.admitSubmit(class); aerr != nil {
-		switch {
-		case aerr.RetryAfter > 0:
-			setRetryAfter(w, aerr.RetryAfter)
-		case aerr.Status == http.StatusTooManyRequests:
+	j, code, err := s.admit(tenant, spec, class)
+	if err != nil {
+		if code == http.StatusTooManyRequests {
 			setRetryAfter(w, s.estimateRetryAfter())
 		}
-		httpError(w, aerr.Status, "%s", aerr.Msg)
-		return
-	}
-
-	j, err := s.store.Create(spec, tenant.Name(), nowRFC3339())
-	if err != nil {
-		tenant.dropQueued()
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.metrics.JobsSubmitted.Add(1)
-	s.hub.publish(Event{Type: "state", Job: j.ID, State: StateQueued, Total: j.ConfigsTotal, Tenant: j.Tenant, Priority: j.Priority})
-	if err := s.pool.submit(j.ID, class, time.Now()); err != nil {
-		tenant.dropQueued()
-		j, _ = s.store.Update(j.ID, func(j *Job) {
-			j.State = StateFailed
-			j.Error = err.Error()
-			j.FinishedAt = nowRFC3339()
-		})
-		s.metrics.JobsFailed.Add(1)
-		s.hub.publish(Event{Type: "state", Job: j.ID, State: StateFailed, Error: j.Error, Tenant: j.Tenant, Priority: j.Priority})
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		httpError(w, code, "%v", err)
 		return
 	}
 	s.maybePreempt(class)
@@ -654,16 +617,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j)
 }
 
-// admitRun is the pool's dispatch gate: it reserves one of the job's
-// tenant's concurrency slots, deferring the entry (it stays queued) when
-// the tenant is already running at quota. Called under the pool lock;
-// store shard and tenant locks are leaves, so the ordering is safe.
-func (s *Server) admitRun(id string) bool {
-	j, ok := s.store.Get(id)
-	if !ok {
-		return true // stale entry; the worker discards it
+// admit enforces the tenant's queued-job quota, then creates the job and
+// puts it in the backlog; on failure it returns the HTTP status to
+// answer. With a quota, the tenant's lock is held from the count until
+// the job is in the backlog, so concurrent submissions cannot both take
+// the last slot; it is released before the caller writes the response.
+func (s *Server) admit(t *Tenant, spec JobSpec, class int) (*Job, int, error) {
+	if t.maxQueued > 0 {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if n := s.pool.queuedFor(t.name); n >= t.maxQueued {
+			t.reject(RejectQuota)
+			return nil, http.StatusTooManyRequests, fmt.Errorf("tenant %s has %d jobs queued (quota %d)", t.name, n, t.maxQueued)
+		}
 	}
-	return s.tenants.ByName(j.Tenant).tryAcquireRun()
+	j, err := s.store.Create(spec, t.name, nowRFC3339())
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	s.metrics.JobsSubmitted.Add(1)
+	t.submitted.Add(1)
+	s.hub.publish(Event{Type: "state", Job: j.ID, State: StateQueued, Total: j.ConfigsTotal, Tenant: j.Tenant, Priority: j.Priority})
+	if err := s.pool.submit(j.ID, j.Tenant, class, time.Now()); err != nil {
+		j, _ = s.store.Update(j.ID, func(j *Job) {
+			j.State = StateFailed
+			j.Error = err.Error()
+			j.FinishedAt = nowRFC3339()
+		})
+		s.metrics.JobsFailed.Add(1)
+		s.hub.publish(Event{Type: "state", Job: j.ID, State: StateFailed, Error: j.Error, Tenant: j.Tenant, Priority: j.Priority})
+		return nil, http.StatusServiceUnavailable, err
+	}
+	return j, http.StatusAccepted, nil
+}
+
+// runningFor counts the tenant's jobs in the running set.
+func (s *Server) runningFor(tenant string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, rj := range s.running {
+		if rj.tenant == tenant {
+			n++
+		}
+	}
+	return n
 }
 
 // maybePreempt frees a worker for an arriving interactive job by
@@ -783,12 +781,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j)
 		return
 	}
-	// Queued: flip it to cancelled and drop its backlog entry, releasing
-	// the tenant's queued slot. An entry a worker already popped is
+	// Queued: flip it to cancelled and drop its backlog entries, which
+	// frees the tenant's queued slot. An entry a worker already popped is
 	// skipped when the worker sees the job terminal.
-	for range s.pool.remove(id) {
-		s.tenants.ByName(j.Tenant).dropQueued()
-	}
+	s.pool.remove(id)
 	j, err := s.store.Update(id, func(j *Job) {
 		if !j.Terminal() {
 			j.State = StateCancelled
@@ -878,7 +874,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteText(w, s.cfg.TraceCache, s.pool.depth(), s.tenants, s.cluster)
+	s.metrics.WriteText(w, s.cfg.TraceCache, s.pool.depth(), s.tenantStats(), s.cluster)
 }
 
 // Health is the /healthz body: instantaneous serving state plus the

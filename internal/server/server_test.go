@@ -192,7 +192,7 @@ func TestMetricsText(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	m.WriteText(&sb, tc, 2, newOpenRegistry(), nil)
+	m.WriteText(&sb, tc, 2, []TenantStats{{Name: "default"}}, nil)
 	text := sb.String()
 	for _, want := range []string{
 		"# TYPE gcsimd_jobs_submitted_total counter",
@@ -209,7 +209,7 @@ func TestMetricsText(t *testing.T) {
 		}
 	}
 	// A nil trace cache must not panic and still reports zero counters,
-	// and a nil tenant registry must not panic either.
+	// and no tenants must not panic either.
 	sb.Reset()
 	m.WriteText(&sb, nil, 0, nil, nil)
 	if !strings.Contains(sb.String(), "gcsimd_trace_cache_hits_total 0") {

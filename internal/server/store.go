@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -28,11 +27,6 @@ import (
 // The in-memory maps are the single source of truth while the server
 // runs; readers always receive deep copies, so HTTP handlers can marshal
 // a job while a worker mutates it without a data race.
-//
-// Stores written by earlier versions kept every job directly under
-// <dir>/jobs/<id>/; OpenStore migrates such layouts once, renaming each
-// job directory into its shard (a rename is atomic, so a crash
-// mid-migration just leaves the remainder for the next start).
 type Store struct {
 	dir    string
 	shards [storeShards]storeShard
@@ -58,8 +52,7 @@ func shardIndex(id string) int {
 
 func shardDirName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
-// OpenStore loads (creating if needed) the job store rooted at dir,
-// migrating any pre-shard layout it finds.
+// OpenStore loads (creating if needed) the job store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
 	jobsDir := filepath.Join(dir, "jobs")
 	s := &Store{dir: dir}
@@ -68,9 +61,6 @@ func OpenStore(dir string) (*Store, error) {
 		if err := os.MkdirAll(filepath.Join(jobsDir, shardDirName(i)), 0o755); err != nil {
 			return nil, fmt.Errorf("server: job store: %w", err)
 		}
-	}
-	if err := migrateLegacyLayout(jobsDir); err != nil {
-		return nil, err
 	}
 	for i := range s.shards {
 		shardDir := filepath.Join(jobsDir, shardDirName(i))
@@ -107,31 +97,6 @@ func OpenStore(dir string) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// migrateLegacyLayout renames pre-shard job directories
-// (<jobs>/<id>/) into their shard (<jobs>/shard-N/<id>/). Runs once: a
-// migrated store has nothing left to move.
-func migrateLegacyLayout(jobsDir string) error {
-	entries, err := os.ReadDir(jobsDir)
-	if err != nil {
-		return fmt.Errorf("server: job store: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), "shard-") {
-			continue
-		}
-		id := e.Name()
-		from := filepath.Join(jobsDir, id)
-		if _, err := os.Stat(filepath.Join(from, "job.json")); err != nil {
-			continue // not a job directory; leave it alone
-		}
-		to := filepath.Join(jobsDir, shardDirName(shardIndex(id)), id)
-		if err := os.Rename(from, to); err != nil {
-			return fmt.Errorf("server: job store: migrate %s: %w", id, err)
-		}
-	}
-	return nil
 }
 
 // JobDir returns the directory holding one job's state (job.json plus its

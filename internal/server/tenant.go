@@ -4,90 +4,55 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"net/http"
 	"os"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
 // Tenancy makes gcsimd safe to share: every /v1 request authenticates
-// with an API key, and each key maps to a tenant carrying its own
-// admission limits — a token bucket over submissions, quotas on queued
-// and concurrently running jobs, and a ceiling on the priority class it
-// may request. Limits are enforced at submit (and, for the running
-// quota, at dispatch), so one tenant's storm degrades that tenant's
-// service, not the daemon's.
+// with an API key, each key maps to a tenant, and a tenant may carry a
+// quota on its queued jobs, enforced at submit. A tenant's queued and
+// running jobs are read from the pool backlog and the server's running
+// set, so there is no second count to drift from them.
 
 // TenantConfig is one entry of the -tenants file, a JSON document of the
-// form {"tenants": [ ... ]}. Zero-valued limits mean unlimited.
+// form {"tenants": [ ... ]}.
 type TenantConfig struct {
 	Name string `json:"name"`
 	Key  string `json:"key"`
-	// RatePerSec refills the tenant's submission token bucket.
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	// Burst is the bucket capacity (default max(1, ceil(RatePerSec))).
-	Burst int `json:"burst,omitempty"`
-	// MaxRunning caps the tenant's concurrently executing jobs.
-	MaxRunning int `json:"max_running,omitempty"`
-	// MaxQueued caps the tenant's backlog.
+	// MaxQueued caps the tenant's backlog (0 = unlimited).
 	MaxQueued int `json:"max_queued,omitempty"`
-	// MaxPriority is the highest priority class the tenant may request
-	// ("" = interactive, i.e. uncapped).
-	MaxPriority string `json:"max_priority,omitempty"`
 }
 
 // Rejection reasons: the `reason` label on gcsimd_tenant_rejected_total.
 const (
-	RejectRate     = "rate"     // token bucket empty
 	RejectQuota    = "quota"    // queued-job quota reached
-	RejectPriority = "priority" // requested class above the tenant's ceiling
 	RejectOverload = "overload" // global queue past the high-water mark
 )
 
 // rejectReasons fixes the exposition order of the reason label.
-var rejectReasons = []string{RejectOverload, RejectPriority, RejectQuota, RejectRate}
+var rejectReasons = []string{RejectOverload, RejectQuota}
 
-// Tenant is one authenticated principal plus its live accounting. All
-// mutable state sits behind mu; the lock is a leaf (nothing is called
-// while holding it), so the pool and the HTTP handlers may take it from
-// under their own locks.
+// Tenant is one authenticated principal and its admission counters.
 type Tenant struct {
-	name     string
-	maxClass int
-	cfg      TenantConfig
-	now      func() time.Time // injectable for tests
+	name      string
+	maxQueued int
 
+	// mu serializes the tenant's quota-checked submissions: it is held
+	// from counting the tenant's backlog entries until the admitted job
+	// is in the backlog, so two submissions cannot both take the last
+	// slot.
 	mu        sync.Mutex
-	tokens    float64
-	last      time.Time
-	queued    int
-	running   int
-	submitted uint64
-	rejected  map[string]uint64
+	submitted atomic.Uint64
+	rejected  map[string]*atomic.Uint64 // fixed keys: rejectReasons
 }
 
-func newTenant(cfg TenantConfig, now func() time.Time) *Tenant {
-	maxClass, err := PriorityClass(cfg.MaxPriority)
-	if err != nil {
-		maxClass = ClassInteractive // validated at load; be permissive if not
+func newTenant(cfg TenantConfig) *Tenant {
+	t := &Tenant{name: cfg.Name, maxQueued: cfg.MaxQueued, rejected: make(map[string]*atomic.Uint64, len(rejectReasons))}
+	for _, reason := range rejectReasons {
+		t.rejected[reason] = new(atomic.Uint64)
 	}
-	if cfg.MaxPriority == "" {
-		maxClass = ClassInteractive
-	}
-	if now == nil {
-		now = time.Now
-	}
-	t := &Tenant{
-		name:     cfg.Name,
-		maxClass: maxClass,
-		cfg:      cfg,
-		now:      now,
-		rejected: make(map[string]uint64),
-	}
-	t.tokens = float64(t.burst())
-	t.last = now()
 	return t
 }
 
@@ -99,152 +64,8 @@ func (t *Tenant) Name() string {
 	return t.name
 }
 
-func (t *Tenant) burst() int {
-	if t.cfg.Burst > 0 {
-		return t.cfg.Burst
-	}
-	if b := int(math.Ceil(t.cfg.RatePerSec)); b > 1 {
-		return b
-	}
-	return 1
-}
-
-// AdmitError is a structured admission rejection: the HTTP status to
-// return, the reason label for metrics, and an advisory retry delay
-// (zero when the server should estimate one itself).
-type AdmitError struct {
-	Status     int
-	Reason     string
-	RetryAfter time.Duration
-	Msg        string
-}
-
-func (e *AdmitError) Error() string { return e.Msg }
-
-// admitSubmit runs the tenant-scoped admission checks for one submission
-// at the given scheduling class: priority ceiling, queued-job quota,
-// then the token bucket (in that order, so a rejected request never
-// burns a token). On success the job is accounted as queued.
-func (t *Tenant) admitSubmit(class int) *AdmitError {
-	if t == nil {
-		return nil // no tenant attached (handler bypassed auth): unlimited
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if class > t.maxClass {
-		t.rejected[RejectPriority]++
-		return &AdmitError{
-			Status: http.StatusForbidden,
-			Reason: RejectPriority,
-			Msg: fmt.Sprintf("tenant %s may submit at most %s priority, got %s",
-				t.name, PriorityName(t.maxClass), PriorityName(class)),
-		}
-	}
-	if t.cfg.MaxQueued > 0 && t.queued >= t.cfg.MaxQueued {
-		t.rejected[RejectQuota]++
-		return &AdmitError{
-			Status: http.StatusTooManyRequests,
-			Reason: RejectQuota,
-			Msg:    fmt.Sprintf("tenant %s has %d jobs queued (quota %d)", t.name, t.queued, t.cfg.MaxQueued),
-		}
-	}
-	if wait, ok := t.takeToken(); !ok {
-		t.rejected[RejectRate]++
-		return &AdmitError{
-			Status:     http.StatusTooManyRequests,
-			Reason:     RejectRate,
-			RetryAfter: wait,
-			Msg:        fmt.Sprintf("tenant %s exceeded %g submissions/s", t.name, t.cfg.RatePerSec),
-		}
-	}
-	t.queued++
-	t.submitted++
-	return nil
-}
-
-// takeToken consumes one token from the bucket, refilling it first from
-// the elapsed wall clock. When empty it reports how long until the next
-// token exists.
-func (t *Tenant) takeToken() (wait time.Duration, ok bool) {
-	if t.cfg.RatePerSec <= 0 {
-		return 0, true
-	}
-	now := t.now()
-	t.tokens = math.Min(float64(t.burst()), t.tokens+now.Sub(t.last).Seconds()*t.cfg.RatePerSec)
-	t.last = now
-	if t.tokens >= 1 {
-		t.tokens--
-		return 0, true
-	}
-	return time.Duration((1 - t.tokens) / t.cfg.RatePerSec * float64(time.Second)), false
-}
-
-// reject counts a rejection decided outside admitSubmit (global load
-// shedding).
-func (t *Tenant) reject(reason string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.rejected[reason]++
-	t.mu.Unlock()
-}
-
-// tryAcquireRun moves one queued job into the running account if the
-// concurrency quota allows; the pool's dispatch gate calls it when a
-// worker is about to pick the job up. A nil tenant (a job whose tenant
-// left the config, or a pre-tenancy job) is unlimited.
-func (t *Tenant) tryAcquireRun() bool {
-	if t == nil {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.MaxRunning > 0 && t.running >= t.cfg.MaxRunning {
-		return false
-	}
-	if t.queued > 0 {
-		t.queued--
-	}
-	t.running++
-	return true
-}
-
-// releaseRun returns a concurrency slot when a job stops executing.
-func (t *Tenant) releaseRun() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.running > 0 {
-		t.running--
-	}
-	t.mu.Unlock()
-}
-
-// requeue accounts a job re-entering the backlog (preemption, or a
-// restarted server re-enqueueing resumable jobs).
-func (t *Tenant) requeue() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.queued++
-	t.mu.Unlock()
-}
-
-// dropQueued undoes a queued account when the job never made it into the
-// pool after all.
-func (t *Tenant) dropQueued() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.queued > 0 {
-		t.queued--
-	}
-	t.mu.Unlock()
-}
+// reject counts one rejected submission.
+func (t *Tenant) reject(reason string) { t.rejected[reason].Add(1) }
 
 // TenantStats is a point-in-time copy of one tenant's accounting, for
 // the /metrics exposition.
@@ -258,23 +79,16 @@ type TenantStats struct {
 
 // TenantRegistry resolves API keys to tenants. A registry without a
 // config file runs in open mode: no authentication, every request acts
-// as one unlimited "default" tenant — the pre-tenancy behaviour.
+// as one unlimited "default" tenant.
 type TenantRegistry struct {
 	open    bool
 	tenants []*Tenant // name order, fixed after load
 	byKey   map[string]*Tenant
-	byName  map[string]*Tenant
 }
 
 // newOpenRegistry builds the open-mode registry.
 func newOpenRegistry() *TenantRegistry {
-	t := newTenant(TenantConfig{Name: "default"}, nil)
-	return &TenantRegistry{
-		open:    true,
-		tenants: []*Tenant{t},
-		byKey:   map[string]*Tenant{},
-		byName:  map[string]*Tenant{t.name: t},
-	}
+	return &TenantRegistry{open: true, tenants: []*Tenant{newTenant(TenantConfig{Name: "default"})}}
 }
 
 // LoadTenants reads and validates a -tenants config file.
@@ -294,10 +108,8 @@ func LoadTenants(path string) (*TenantRegistry, error) {
 	if len(doc.Tenants) == 0 {
 		return nil, fmt.Errorf("server: tenants config %s lists no tenants", path)
 	}
-	reg := &TenantRegistry{
-		byKey:  make(map[string]*Tenant, len(doc.Tenants)),
-		byName: make(map[string]*Tenant, len(doc.Tenants)),
-	}
+	reg := &TenantRegistry{byKey: make(map[string]*Tenant, len(doc.Tenants))}
+	names := make(map[string]bool, len(doc.Tenants))
 	for i, cfg := range doc.Tenants {
 		if cfg.Name == "" {
 			return nil, fmt.Errorf("server: tenants config %s: entry %d has no name", path, i)
@@ -305,22 +117,19 @@ func LoadTenants(path string) (*TenantRegistry, error) {
 		if cfg.Key == "" {
 			return nil, fmt.Errorf("server: tenants config %s: tenant %s has no key", path, cfg.Name)
 		}
-		if _, dup := reg.byName[cfg.Name]; dup {
+		if names[cfg.Name] {
 			return nil, fmt.Errorf("server: tenants config %s: duplicate tenant name %s", path, cfg.Name)
 		}
 		if _, dup := reg.byKey[cfg.Key]; dup {
 			return nil, fmt.Errorf("server: tenants config %s: tenant %s reuses another tenant's key", path, cfg.Name)
 		}
-		if _, err := PriorityClass(cfg.MaxPriority); err != nil {
-			return nil, fmt.Errorf("server: tenants config %s: tenant %s: %w", path, cfg.Name, err)
-		}
-		if cfg.RatePerSec < 0 || cfg.Burst < 0 || cfg.MaxRunning < 0 || cfg.MaxQueued < 0 {
+		if cfg.MaxQueued < 0 {
 			return nil, fmt.Errorf("server: tenants config %s: tenant %s has a negative limit", path, cfg.Name)
 		}
-		t := newTenant(cfg, nil)
+		t := newTenant(cfg)
 		reg.tenants = append(reg.tenants, t)
 		reg.byKey[cfg.Key] = t
-		reg.byName[cfg.Name] = t
+		names[cfg.Name] = true
 	}
 	sort.Slice(reg.tenants, func(i, j int) bool { return reg.tenants[i].name < reg.tenants[j].name })
 	return reg, nil
@@ -339,28 +148,22 @@ func (r *TenantRegistry) Authenticate(key string) (*Tenant, bool) {
 	return t, ok
 }
 
-// ByName looks a tenant up by name; nil if unknown (a persisted job
-// whose tenant was removed from the config — its limits no longer
-// apply, which is the only sane reading).
-func (r *TenantRegistry) ByName(name string) *Tenant { return r.byName[name] }
-
-// Stats snapshots every tenant's accounting in name order.
-func (r *TenantRegistry) Stats() []TenantStats {
-	out := make([]TenantStats, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		t.mu.Lock()
-		s := TenantStats{
+// tenantStats snapshots every tenant's accounting in name order, its
+// queued and running jobs counted from the backlog and the running set.
+func (s *Server) tenantStats() []TenantStats {
+	out := make([]TenantStats, 0, len(s.tenants.tenants))
+	for _, t := range s.tenants.tenants {
+		st := TenantStats{
 			Name:      t.name,
-			Submitted: t.submitted,
-			Queued:    t.queued,
-			Running:   t.running,
+			Submitted: t.submitted.Load(),
 			Rejected:  make(map[string]uint64, len(t.rejected)),
+			Queued:    s.pool.queuedFor(t.name),
+			Running:   s.runningFor(t.name),
 		}
-		for k, v := range t.rejected {
-			s.Rejected[k] = v
+		for reason, n := range t.rejected {
+			st.Rejected[reason] = n.Load()
 		}
-		t.mu.Unlock()
-		out = append(out, s)
+		out = append(out, st)
 	}
 	return out
 }

@@ -1,14 +1,12 @@
 package server
 
 // Unit tests for the admission layer's internals: tenants-config
-// validation, the token bucket under a fake clock, the admission order
-// (a rejected submission never burns a token), the pool's priority
-// dispatch and concurrency gate, the event hub's per-subscriber drop
-// accounting, and the store's one-time legacy-layout migration.
+// validation, the pool's priority dispatch, the event hub's
+// per-subscriber drop accounting, and the sharded store under
+// concurrent creates and a reopen.
 
 import (
 	"context"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,8 +27,8 @@ func writeTenantsFile(t *testing.T, body string) string {
 
 func TestLoadTenants(t *testing.T) {
 	valid := `{"tenants": [
-		{"name": "acme", "key": "k-acme", "rate_per_sec": 2, "max_running": 1, "max_queued": 4},
-		{"name": "zen", "key": "k-zen", "max_priority": "batch"}
+		{"name": "acme", "key": "k-acme", "max_queued": 4},
+		{"name": "zen", "key": "k-zen"}
 	]}`
 	reg, err := LoadTenants(writeTenantsFile(t, valid))
 	if err != nil {
@@ -45,8 +43,8 @@ func TestLoadTenants(t *testing.T) {
 	if _, ok := reg.Authenticate("nope"); ok {
 		t.Error("unknown key authenticated")
 	}
-	if reg.ByName("zen") == nil || reg.ByName("ghost") != nil {
-		t.Error("ByName lookups wrong")
+	if tn, ok := reg.Authenticate("k-zen"); !ok || tn.Name() != "zen" {
+		t.Errorf("Authenticate(k-zen) = %v, %v", tn.Name(), ok)
 	}
 
 	bad := []struct {
@@ -57,7 +55,7 @@ func TestLoadTenants(t *testing.T) {
 		{"no key", `{"tenants": [{"name": "a"}]}`, "no key"},
 		{"dup name", `{"tenants": [{"name": "a", "key": "k1"}, {"name": "a", "key": "k2"}]}`, "duplicate tenant name"},
 		{"dup key", `{"tenants": [{"name": "a", "key": "k"}, {"name": "b", "key": "k"}]}`, "key"},
-		{"bad priority", `{"tenants": [{"name": "a", "key": "k", "max_priority": "urgent"}]}`, "unknown priority"},
+		{"removed field", `{"tenants": [{"name": "a", "key": "k", "max_priority": "urgent"}]}`, "unknown field"},
 		{"negative limit", `{"tenants": [{"name": "a", "key": "k", "max_queued": -1}]}`, "negative"},
 		{"unknown field", `{"tenants": [{"name": "a", "key": "k", "quota": 3}]}`, "unknown field"},
 	}
@@ -71,87 +69,8 @@ func TestLoadTenants(t *testing.T) {
 	}
 }
 
-func TestTokenBucketUnderFakeClock(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	tn := newTenant(TenantConfig{Name: "a", Key: "k", RatePerSec: 2, Burst: 2}, func() time.Time { return clock })
-
-	// The bucket starts full: two submissions pass, the third is rejected
-	// with the time until the next token as Retry-After advice.
-	for i := 0; i < 2; i++ {
-		if aerr := tn.admitSubmit(ClassBatch); aerr != nil {
-			t.Fatalf("submission %d rejected: %v", i, aerr)
-		}
-	}
-	aerr := tn.admitSubmit(ClassBatch)
-	if aerr == nil || aerr.Reason != RejectRate || aerr.Status != http.StatusTooManyRequests {
-		t.Fatalf("third submission = %+v, want a rate rejection", aerr)
-	}
-	if aerr.RetryAfter <= 0 || aerr.RetryAfter > time.Second {
-		t.Errorf("RetryAfter = %v, want (0s, 500ms] at 2/s", aerr.RetryAfter)
-	}
-
-	// Advancing the clock refills: half a second buys one token.
-	clock = clock.Add(500 * time.Millisecond)
-	if aerr := tn.admitSubmit(ClassBatch); aerr != nil {
-		t.Fatalf("post-refill submission rejected: %v", aerr)
-	}
-	if aerr := tn.admitSubmit(ClassBatch); aerr == nil {
-		t.Fatal("bucket refilled more than the elapsed time allows")
-	}
-}
-
-func TestAdmitOrderNeverBurnsTokens(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	tn := newTenant(TenantConfig{
-		Name: "a", Key: "k", RatePerSec: 1, Burst: 1, MaxQueued: 1, MaxPriority: PriorityBatch,
-	}, func() time.Time { return clock })
-
-	// Ceiling and quota rejections come before the bucket, so neither
-	// consumes the single token.
-	if aerr := tn.admitSubmit(ClassInteractive); aerr == nil || aerr.Reason != RejectPriority || aerr.Status != http.StatusForbidden {
-		t.Fatalf("above-ceiling submission = %+v, want a 403 priority rejection", aerr)
-	}
-	if aerr := tn.admitSubmit(ClassBatch); aerr != nil {
-		t.Fatalf("first admission rejected: %v", aerr)
-	}
-	if aerr := tn.admitSubmit(ClassBatch); aerr == nil || aerr.Reason != RejectQuota {
-		t.Fatalf("over-quota submission = %+v, want a quota rejection", aerr)
-	}
-	// Free the queued slot; the token (not the quota) must now be the
-	// binding constraint — proof the earlier rejections left it alone.
-	tn.dropQueued()
-	if aerr := tn.admitSubmit(ClassBatch); aerr == nil || aerr.Reason != RejectRate {
-		t.Fatalf("post-quota submission = %+v, want a rate rejection", aerr)
-	}
-
-	st := tn.mustStats()
-	if st.Rejected[RejectPriority] != 1 || st.Rejected[RejectQuota] != 1 || st.Rejected[RejectRate] != 1 {
-		t.Errorf("rejection accounting = %+v", st.Rejected)
-	}
-	if st.Submitted != 1 {
-		t.Errorf("submitted = %d, want 1", st.Submitted)
-	}
-}
-
-// mustStats snapshots one tenant without a registry.
-func (t *Tenant) mustStats() TenantStats {
-	reg := &TenantRegistry{tenants: []*Tenant{t}}
-	return reg.Stats()[0]
-}
-
 func TestNilTenantIsUnlimited(t *testing.T) {
 	var tn *Tenant
-	if aerr := tn.admitSubmit(ClassInteractive); aerr != nil {
-		t.Errorf("nil tenant rejected a submission: %v", aerr)
-	}
-	if !tn.tryAcquireRun() {
-		t.Error("nil tenant denied a run slot")
-	}
-	// None of the accounting calls may panic.
-	tn.reject(RejectOverload)
-	tn.releaseRun()
-	tn.requeue()
-	tn.dropQueued()
 	if tn.Name() != "" {
 		t.Errorf("nil tenant name = %q", tn.Name())
 	}
@@ -167,7 +86,7 @@ func TestPoolPriorityOrderAndConcurrencyGate(t *testing.T) {
 		mu.Unlock()
 		done <- struct{}{}
 	}
-	p := newPool(run, nil)
+	p := newPool(run)
 	now := time.Now()
 	// Submitted in inverse priority order before any worker starts; the
 	// heap must dispatch interactive first, bulk last, FIFO within class.
@@ -178,7 +97,7 @@ func TestPoolPriorityOrderAndConcurrencyGate(t *testing.T) {
 		{"bulk-1", ClassBulk}, {"batch-1", ClassBatch}, {"bulk-2", ClassBulk},
 		{"int-1", ClassInteractive}, {"batch-2", ClassBatch}, {"int-2", ClassInteractive},
 	} {
-		if err := p.submit(sub.id, sub.class, now); err != nil {
+		if err := p.submit(sub.id, "", sub.class, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,31 +123,13 @@ func TestPoolPriorityOrderAndConcurrencyGate(t *testing.T) {
 			t.Fatalf("dispatch order = %v, want %v", order, want)
 		}
 	}
-
-	// The admit gate defers entries: with every dispatch denied, depth
-	// stays put and nothing runs.
-	denied := newPool(run, func(id string) bool { return false })
-	if err := denied.submit("held", ClassBatch, now); err != nil {
-		t.Fatal(err)
-	}
-	dctx, dcancel := context.WithCancel(context.Background())
-	defer dcancel()
-	denied.start(dctx, 1)
-	time.Sleep(50 * time.Millisecond)
-	if d := denied.depth(); d != 1 {
-		t.Fatalf("deferred entry left the backlog: depth = %d", d)
-	}
-	denied.drain()
 }
 
 func TestEventHubSlowSubscriberDrops(t *testing.T) {
-	var slow, overrun atomic.Uint64
+	var slow atomic.Uint64
 	h := newEventHub(nil, func(reason string, n uint64) {
-		switch reason {
-		case DropSlowSubscriber:
+		if reason == DropSlowSubscriber {
 			slow.Add(n)
-		case DropRingOverrun:
-			overrun.Add(n)
 		}
 	})
 	_, ch, cancel := h.subscribe("j1")
@@ -243,39 +144,9 @@ func TestEventHubSlowSubscriberDrops(t *testing.T) {
 	if len(ch) != subChanCap {
 		t.Errorf("subscriber buffer holds %d events, want %d", len(ch), subChanCap)
 	}
-	if overrun.Load() != 0 {
-		t.Errorf("ring_overrun = %d with no firehose subscriber", overrun.Load())
-	}
 }
 
-func TestEventHubRingOverrun(t *testing.T) {
-	var overrun atomic.Uint64
-	h := newEventHub(nil, func(reason string, n uint64) {
-		if reason == DropRingOverrun {
-			overrun.Add(n)
-		}
-	})
-	ch, cancel := h.subscribeAll()
-	defer cancel()
-
-	// Publish far past ring capacity without reading: the pump can hold at
-	// most subChanCap+1 events, so its cursor falls more than ringCap
-	// behind and the skip-forward must be charged as ring_overrun drops.
-	const total = ringCap + subChanCap + 1000
-	for i := 0; i < total; i++ {
-		h.publish(Event{Type: "config", Job: "j2", Done: i})
-	}
-	deadline := time.After(10 * time.Second)
-	for overrun.Load() == 0 {
-		select {
-		case <-ch: // drain so the pump advances and observes its lag
-		case <-deadline:
-			t.Fatalf("no ring_overrun drops after %d publishes", total)
-		}
-	}
-}
-
-func TestStoreMigratesLegacyLayout(t *testing.T) {
+func TestStoreConcurrentCreateAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -286,63 +157,31 @@ func TestStoreMigratesLegacyLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reconstruct the pre-shard layout: the job directly under jobs/, no
-	// shard directories.
-	jobsDir := filepath.Join(dir, "jobs")
-	legacy := filepath.Join(jobsDir, j.ID)
-	if err := os.Rename(st.JobDir(j.ID), legacy); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < storeShards; i++ {
-		if err := os.RemoveAll(filepath.Join(jobsDir, shardDirName(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stray non-job directory must survive the migration untouched.
-	if err := os.MkdirAll(filepath.Join(jobsDir, "not-a-job"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-
+	// A reopen finds the job in its shard.
 	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st2.Get(j.ID)
-	if !ok || got.Tenant != "acme" {
-		t.Fatalf("migrated job lost: ok=%v job=%+v", ok, got)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Errorf("legacy job directory still present after migration: %v", err)
+	if got, ok := st2.Get(j.ID); !ok || got.Tenant != "acme" {
+		t.Fatalf("job lost on reopen: ok=%v job=%+v", ok, got)
 	}
 	if _, err := os.Stat(filepath.Join(st2.JobDir(j.ID), "job.json")); err != nil {
-		t.Errorf("migrated job.json missing from its shard: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(jobsDir, "not-a-job")); err != nil {
-		t.Errorf("migration touched a non-job directory: %v", err)
+		t.Errorf("job.json missing from its shard: %v", err)
 	}
 
-	// A second open finds nothing left to migrate and the same state.
-	st3, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st3.Get(j.ID); !ok {
-		t.Error("job lost on the post-migration reopen")
-	}
-
-	// Writes land in the new layout and concurrent shard access is safe.
+	// Concurrent shard access is safe.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := st3.Create(validSpec(), "acme", "2026-01-01T00:00:02Z"); err != nil {
+			if _, err := st2.Create(validSpec(), "acme", "2026-01-01T00:00:02Z"); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := len(st3.List()); n != 9 {
+	if n := len(st2.List()); n != 9 {
 		t.Errorf("List() = %d jobs, want 9", n)
 	}
 }
