@@ -99,6 +99,9 @@ func capture(ctx context.Context, path, workloadName string, scale int, gcName s
 	if err != nil {
 		return err
 	}
+	// Stops the writer's encoder goroutine on an error path, before the
+	// deferred f.Close; after Close it does nothing.
+	defer bw.Abort()
 	start := time.Now()
 	run, err := core.Run(ctx, core.RunSpec{
 		Workload:  w,
@@ -110,10 +113,12 @@ func capture(ctx context.Context, path, workloadName string, scale int, gcName s
 	if err != nil {
 		return err
 	}
-	dur := time.Since(start)
+	// The encoder finishes the trace behind the run, so the capture's
+	// time includes Close.
 	if err := bw.Close(); err != nil {
 		return err
 	}
+	dur := time.Since(start)
 	if err := f.Close(); err != nil {
 		return err
 	}

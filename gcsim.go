@@ -140,7 +140,9 @@ func NewParallelCacheBank(cfgs []CacheConfig) *ParallelCacheBank {
 
 // SetParallelism bounds concurrent experiment runs, the trace decoders of
 // a replayed sweep, and the workers a sweep's cache bank shards its
-// configurations across (default GOMAXPROCS; 1 = everything inline).
+// configurations across (default GOMAXPROCS; 1 = one run at a time,
+// decoded and simulated inline). It does not govern recording: the trace
+// writer always encodes on one goroutine of its own.
 func SetParallelism(n int) { core.SetParallelism(n) }
 
 // Parallelism returns the current experiment-parallelism bound.

@@ -22,8 +22,10 @@ func init() { parallelism.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetParallelism bounds the number of concurrently executing runs, the
 // frame decoders of a replayed sweep, and the workers a sweep's cache bank
-// shards its configurations across (n <= 1 keeps the lanes inline). CLIs
-// plumb their -parallel flag here.
+// shards its configurations across (n <= 1 keeps the decode and the lanes
+// inline). It does not govern recording: a traceio.BatchWriter always
+// encodes on its one encoder goroutine, whatever n is. CLIs plumb their
+// -parallel flag here.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1

@@ -3,11 +3,17 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
+	"gcsim/internal/castore"
 	"gcsim/internal/gc"
 	"gcsim/internal/telemetry"
 	"gcsim/internal/workloads"
@@ -239,5 +245,126 @@ func TestFusedReplayCounters(t *testing.T) {
 	}
 	if got := after.DecodeOnceFrames - before.DecodeOnceFrames; got == 0 {
 		t.Error("decode-once frames did not advance across two fused sweeps")
+	}
+}
+
+// cancelingBlobs is a directory blob store whose ingests cancel a context
+// at their first write. The trace writer's first write comes when its
+// encoder flushes the first full output buffer, so the recording is
+// cancelled mid-run with frames still queued behind it.
+type cancelingBlobs struct {
+	*castore.Dir
+	cancel context.CancelFunc
+}
+
+func (s cancelingBlobs) Ingest(ctx context.Context) (castore.BlobWriter, error) {
+	w, err := s.Dir.Ingest(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return cancelingBlobWriter{w, s.cancel}, nil
+}
+
+type cancelingBlobWriter struct {
+	castore.BlobWriter
+	cancel context.CancelFunc
+}
+
+func (w cancelingBlobWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	return w.BlobWriter.Write(p)
+}
+
+// A recording cancelled mid-run fails with the cancellation, files no
+// sidecar, leaves no blob or temp file behind, and stops the trace
+// writer's encoder goroutine.
+func TestTraceCacheRecordCancelled(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setParallelismForTest(t, 1)
+	dir := filepath.Join(t.TempDir(), "traces")
+	blobs, err := castore.NewDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tc := NewTraceCacheWith(cancelingBlobs{blobs, cancel}, &dirTraceIndex{dir: dir})
+
+	baseline := runtime.NumGoroutine()
+	_, err = runSweepWith(ctx, tc, w, w.SmallScale, gc.NewCheney(256<<10), gcSweepConfigs()[:2])
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled recording returned %v, want an error matching context.Canceled", err)
+	}
+	if st := tc.Stats(); st.Recorded != 0 {
+		t.Errorf("recorded %d traces, want 0", st.Recorded)
+	}
+	for _, d := range []string{dir, blobs.Root()} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.IsDir() {
+				t.Errorf("cancelled recording left %s in %s", e.Name(), d)
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after the cancelled recording, %d before:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// The trace.record span carries the trace writer's own numbers: refs and
+// bytes equal the sidecar's, and the encoder and hand-off clocks are set.
+func TestTraceRecordSpanAttrs(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := telemetry.NewSpanRecorder(0)
+	SetSpans(spans)
+	t.Cleanup(func() { SetSpans(nil) })
+	tc := installTraceCache(t)
+	col := gc.NewCheney(256 << 10)
+	identity := collectorIdentity(col)
+	if _, err := RunSweep(context.Background(), w, w.SmallScale, col, gcSweepConfigs()[:2]); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := tc.index.Load(traceKey(w.Name, w.SmallScale, identity))
+	if err != nil || meta == nil {
+		t.Fatalf("sidecar: %v, %v", meta, err)
+	}
+	var rec *telemetry.Span
+	for _, sp := range spans.Spans() {
+		if sp.Name == telemetry.StageTraceRecord {
+			rec = &sp
+		}
+	}
+	if rec == nil {
+		t.Fatal("no trace.record span")
+	}
+	if got, want := rec.Attrs["refs"], fmt.Sprint(meta.Refs); got != want {
+		t.Errorf("span refs = %q, sidecar Refs = %s", got, want)
+	}
+	if got, want := rec.Attrs["bytes"], fmt.Sprint(meta.TraceBytes); got != want {
+		t.Errorf("span bytes = %q, sidecar TraceBytes = %s", got, want)
+	}
+	for _, k := range []string{"encode_s", "handoff_s"} {
+		v, err := strconv.ParseFloat(rec.Attrs[k], 64)
+		if err != nil || v < 0 {
+			t.Errorf("span %s = %q, want a non-negative number of seconds", k, rec.Attrs[k])
+		}
+	}
+	if enc, _ := strconv.ParseFloat(rec.Attrs["encode_s"], 64); enc == 0 {
+		t.Error("span encode_s = 0 for a recording of a whole run")
 	}
 }

@@ -529,6 +529,10 @@ func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale i
 	if err != nil {
 		return nil, fmt.Errorf("core: trace cache: %w", err)
 	}
+	// Deferred after blobw.Abort, so it runs first: on an error path the
+	// writer's encoder goroutine may still be writing into the blob. After
+	// Close it does nothing.
+	defer bw.Abort()
 	spec := RunSpec{
 		Workload:  w,
 		Scale:     scale,
@@ -548,6 +552,10 @@ func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale i
 	if err = bw.Close(); err != nil {
 		return nil, fmt.Errorf("core: trace cache: %w", err)
 	}
+	span.SetAttr("refs", fmt.Sprint(bw.Count()))
+	span.SetAttr("bytes", fmt.Sprint(cw.n))
+	span.SetAttr("encode_s", fmt.Sprintf("%.6f", bw.EncodeSeconds()))
+	span.SetAttr("handoff_s", fmt.Sprintf("%.6f", bw.HandoffSeconds()))
 	id, err := blobw.Commit()
 	if err != nil {
 		return nil, fmt.Errorf("core: trace cache: %w", err)

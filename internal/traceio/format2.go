@@ -41,10 +41,13 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"sync/atomic"
+	"time"
 
 	"gcsim/internal/mem"
 )
@@ -82,46 +85,103 @@ type WriterOpts struct {
 	Compress bool
 }
 
+// writerRing is the number of chunk buffers a BatchWriter's producer and
+// encoder pass between them: 16 chunks, 512 KiB of refs. Measured on the
+// record benchmark (2 vCPUs), an 8-chunk ring behind a 1 MiB output
+// buffer left the VM blocked for about 0.7 s per round, because each
+// buffer flush outlasted 8 chunks of VM output; a 64-chunk ring saved a
+// little more time but raised peak live memory by 10%.
+const writerRing = 16
+
+// writerBufBytes sizes the encoder's output buffer. Small flushes keep
+// each write into w (for a blob store: hash plus file write) well inside
+// the time the VM takes to fill the ring; ring and buffer together hold
+// under 600 KiB.
+const writerBufBytes = 64 << 10
+
+// ringBuf is one ring buffer: a chunk on its way from the producer to
+// the encoder, with its clock stamp.
+type ringBuf struct {
+	refs    []mem.Ref
+	insnsAt uint64
+}
+
+// errAborted is what Close and Err report after Abort.
+var errAborted = errors.New("recording aborted")
+
 // BatchWriter streams references to w in format v2, one frame per chunk.
 // It implements both mem.BatchTracer (the fast path: the Memory's chunk
 // pipeline hands over sealed chunks and each becomes one frame) and
-// mem.Tracer (stragglers are staged into chunks internally). Call Close
-// when the run completes: it seals any staged references, writes the
-// trailer, and reports any deferred write error.
+// mem.Tracer (stragglers are staged into chunks internally).
+//
+// The writer is a two-stage pipeline. The producer — the goroutine that
+// calls RefBatch or Ref, the VM's — only stamps each chunk with the
+// instruction clock, copies it into a buffer from a fixed ring and hands
+// it over. One encoder goroutine, started by NewBatchWriter, encodes the
+// frames in hand-off order and does every write into w. Call Close when
+// the run completes: it seals any staged references, waits for the
+// encoder, writes the trailer and reports any deferred write error. A
+// recording that will not be completed must call Abort instead, or the
+// encoder goroutine never exits.
 type BatchWriter struct {
-	w      *bufio.Writer
-	opts   WriterOpts
-	clock  func() uint64
-	count  uint64
-	runCRC uint32
-	err    error
-	closed bool
+	opts  WriterOpts
+	clock func() uint64
 
-	staged []mem.Ref    // per-ref Tracer fallback staging
-	enc    []byte       // raw payload scratch
-	cmp    bytes.Buffer // compressed payload scratch
-	fw     *flate.Writer
+	// Producer side.
+	staged    []mem.Ref     // per-ref Tracer fallback staging
+	free      chan *ringBuf // recycled buffers; empty when the encoder is behind
+	queue     chan *ringBuf // stamped chunks, in hand-off order
+	done      chan struct{} // closed when the encoder goroutine exits
+	handoffNs int64
+	closed    bool        // Close or Abort has run
+	aborted   atomic.Bool // tells the encoder to drop the frames still queued
+
+	// Encoder side: owned by the encoder goroutine until done is closed,
+	// then by Close or Abort.
+	w        *bufio.Writer
+	count    uint64
+	runCRC   uint32
+	err      error
+	encodeNs int64
+	enc      []byte       // raw payload scratch
+	cmp      bytes.Buffer // compressed payload scratch
+	fw       *flate.Writer
 }
 
-// NewBatchWriter starts a v2 trace on w.
+// NewBatchWriter starts a v2 trace on w and the writer's encoder
+// goroutine. Every writer must be finished with Close or Abort.
 func NewBatchWriter(w io.Writer, opts WriterOpts) (*BatchWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, writerBufBytes)
 	if _, err := bw.WriteString(Magic2); err != nil {
 		return nil, fmt.Errorf("traceio: writing header: %w", err)
 	}
-	return &BatchWriter{w: bw, opts: opts}, nil
+	t := &BatchWriter{
+		w:     bw,
+		opts:  opts,
+		free:  make(chan *ringBuf, writerRing),
+		queue: make(chan *ringBuf, writerRing),
+		done:  make(chan struct{}),
+	}
+	for range writerRing {
+		t.free <- &ringBuf{refs: make([]mem.Ref, 0, mem.ChunkRefs)}
+	}
+	go t.encode()
+	return t, nil
 }
 
 // SetClock installs the instruction clock used to stamp frames. The
 // experiment engine wires it to the machine's instruction counter, so the
 // stamps equal what a live sweep's snapshot clock would read at each
-// chunk boundary. Must be set before the first reference.
+// chunk boundary. The clock is read only on the producer's goroutine, as
+// each chunk is handed over. Must be set before the first reference.
 func (t *BatchWriter) SetClock(clock func() uint64) { t.clock = clock }
 
-// Count returns the number of references written so far.
+// Count returns the number of references written. Valid after Close or
+// Abort.
 func (t *BatchWriter) Count() uint64 { return t.count }
 
-// Err returns the first deferred write error, if any.
+// Err returns the first deferred write error, if any. Valid after Close
+// or Abort.
 func (t *BatchWriter) Err() error {
 	if t.err != nil {
 		return fmt.Errorf("traceio: %w", t.err)
@@ -129,14 +189,25 @@ func (t *BatchWriter) Err() error {
 	return nil
 }
 
+// EncodeSeconds returns the encoder's busy time: encoding frames and
+// writing them into w, plus the trailer and final flush in Close. Valid
+// after Close or Abort.
+func (t *BatchWriter) EncodeSeconds() float64 { return float64(t.encodeNs) / 1e9 }
+
+// HandoffSeconds returns the time the producer waited for a free ring
+// buffer, plus the time Close or Abort waited for the encoder to drain.
+// Valid after Close or Abort.
+func (t *BatchWriter) HandoffSeconds() float64 { return float64(t.handoffNs) / 1e9 }
+
 // RefBatch implements mem.BatchTracer: each chunk becomes one frame
 // (chunks larger than mem.ChunkRefs are split, so frames stay bounded).
+// The chunk is copied before RefBatch returns, so the caller may reuse it.
 func (t *BatchWriter) RefBatch(refs []mem.Ref) {
 	for len(refs) > mem.ChunkRefs {
-		t.writeFrame(refs[:mem.ChunkRefs])
+		t.handOff(refs[:mem.ChunkRefs])
 		refs = refs[mem.ChunkRefs:]
 	}
-	t.writeFrame(refs)
+	t.handOff(refs)
 }
 
 // Ref implements mem.Tracer for per-reference producers; references are
@@ -147,16 +218,63 @@ func (t *BatchWriter) Ref(addr uint64, write, collector bool) {
 	}
 	t.staged = append(t.staged, mem.MakeRef(addr, write, collector))
 	if len(t.staged) == cap(t.staged) {
-		t.writeFrame(t.staged)
+		t.handOff(t.staged)
 		t.staged = t.staged[:0]
 	}
 }
 
-// writeFrame encodes and writes one frame.
-func (t *BatchWriter) writeFrame(refs []mem.Ref) {
-	if t.err != nil || t.closed || len(refs) == 0 {
+// handOff is the producer's stage. It reads the clock while the machine
+// is still paused in RefBatch, so the stamp is what an inline encoder
+// would have read, copies the chunk into a ring buffer and queues it for
+// the encoder, blocking only while every ring buffer is in flight.
+func (t *BatchWriter) handOff(refs []mem.Ref) {
+	if t.closed || len(refs) == 0 {
 		return
 	}
+	var h *ringBuf
+	select {
+	case h = <-t.free:
+	default:
+		t0 := time.Now()
+		h = <-t.free
+		t.handoffNs += int64(time.Since(t0))
+	}
+	h.refs = append(h.refs[:0], refs...)
+	h.insnsAt = 0
+	if t.clock != nil {
+		h.insnsAt = t.clock()
+	}
+	t.queue <- h // never blocks: the queue holds the whole ring
+}
+
+// encode is the encoder goroutine: it writes each queued chunk as one
+// frame, in hand-off order, and recycles its buffer. After the first
+// error, or once Abort is under way, it drops the frames but keeps
+// recycling, so the producer can never deadlock on the ring.
+func (t *BatchWriter) encode() {
+	defer close(t.done)
+	for h := range t.queue {
+		if t.err == nil && !t.aborted.Load() {
+			t0 := time.Now()
+			t.writeFrame(h.refs, h.insnsAt)
+			t.encodeNs += int64(time.Since(t0))
+		}
+		t.free <- h
+	}
+}
+
+// join ends the hand-off and waits for the encoder goroutine to exit.
+func (t *BatchWriter) join() {
+	t.closed = true
+	close(t.queue)
+	t0 := time.Now()
+	<-t.done
+	t.handoffNs += int64(time.Since(t0))
+}
+
+// writeFrame encodes and writes one frame. It runs on the encoder
+// goroutine.
+func (t *BatchWriter) writeFrame(refs []mem.Ref, insnsAt uint64) {
 	if cap(t.enc) < len(refs)*maxRefBytes {
 		t.enc = make([]byte, 0, len(refs)*maxRefBytes)
 	}
@@ -226,10 +344,6 @@ func (t *BatchWriter) writeFrame(refs []mem.Ref) {
 
 	crc := crc32.ChecksumIEEE(payload)
 	t.runCRC = crc32.Update(t.runCRC, crc32.IEEETable, payload)
-	var insnsAt uint64
-	if t.clock != nil {
-		insnsAt = t.clock()
-	}
 
 	var hdr [3*binary.MaxVarintLen64 + 5]byte
 	h := binary.AppendUvarint(hdr[:0], uint64(len(refs)))
@@ -248,20 +362,24 @@ func (t *BatchWriter) writeFrame(refs []mem.Ref) {
 	t.count += uint64(len(refs))
 }
 
-// Close seals any staged references, writes the trailer, and flushes.
-// The trace is complete only if Close returns nil. Close is idempotent.
+// Close seals any staged references, waits for the encoder to write
+// every queued frame, then writes the trailer and flushes on the
+// caller's goroutine. The trace is complete only if Close returns nil.
+// Close is idempotent.
 func (t *BatchWriter) Close() error {
 	if t.closed {
 		return t.Err()
 	}
 	if len(t.staged) > 0 {
-		t.writeFrame(t.staged)
+		t.handOff(t.staged)
 		t.staged = t.staged[:0]
 	}
-	t.closed = true
+	t.join()
 	if t.err != nil {
 		return t.Err()
 	}
+	t0 := time.Now()
+	defer func() { t.encodeNs += int64(time.Since(t0)) }()
 	var hdr [binary.MaxVarintLen64 + 5]byte
 	h := binary.AppendUvarint(hdr[:0], 0)
 	h = binary.AppendUvarint(h, t.count)
@@ -274,6 +392,22 @@ func (t *BatchWriter) Close() error {
 		t.err = err
 	}
 	return t.Err()
+}
+
+// Abort ends a recording that will not be completed: the encoder drops
+// the frames still queued, Abort waits for it to exit, and no trailer is
+// written, so w may be discarded as soon as Abort returns. Call it on
+// every path that does not reach Close. Abort is idempotent and does
+// nothing after Close; a Close after Abort reports the abort.
+func (t *BatchWriter) Abort() {
+	if t.closed {
+		return
+	}
+	t.aborted.Store(true)
+	t.join()
+	if t.err == nil {
+		t.err = errAborted
+	}
 }
 
 // frame is one decoded frame header plus its stored payload.

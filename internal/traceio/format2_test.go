@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"gcsim/internal/cache"
 	"gcsim/internal/mem"
@@ -183,6 +186,130 @@ func TestV2ClockStamps(t *testing.T) {
 				t.Errorf("decoders=%d: stamp %d = %d, want %d", nd, i, out.stamps[i], s)
 			}
 		}
+	}
+}
+
+// The writer stamps each frame as its chunk is handed over, on the
+// caller's goroutine, not when the encoder reaches it: the clock returns
+// whatever the test set before each RefBatch, so a late read would stamp
+// a later chunk's value (and, under -race, race with the test).
+func TestV2ClockStampedAtHandoff(t *testing.T) {
+	const chunks = 3 * writerRing
+	in := makeRefs(chunks * mem.ChunkRefs)
+	var now uint64
+	var buf bytes.Buffer
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetClock(func() uint64 { return now })
+	want := make([]uint64, chunks)
+	for i := range want {
+		want[i] = uint64(i+1) * 7919
+		now = want[i]
+		w.RefBatch(in[i*mem.ChunkRefs : (i+1)*mem.ChunkRefs])
+	}
+	now = 0
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &batchRecorder{clock: rp.Clock}
+	if _, err := rp.Run(context.Background(), out); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.stamps, want) {
+		t.Fatalf("frame stamps %v,\nwant %v", out.stamps, want)
+	}
+}
+
+// An address outside the 61-bit ring fails the encoder mid-stream. The
+// producer must not block on the failed encoder: every RefBatch returns,
+// Close reports the ring error, and the output, which has no trailer,
+// does not replay.
+func TestV2EncoderErrorPath(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Far-apart addresses take several bytes a ref, so the ten good chunks
+	// overflow the writer's output buffer and a prefix reaches buf.
+	good := make([]mem.Ref, mem.ChunkRefs)
+	for i := range good {
+		good[i] = mem.MakeRef(mem.DynBase+uint64(i)*0x9e3779b1%(1<<32), i%3 == 0, false)
+	}
+	bad := slices.Clone(good)
+	bad[100] = mem.MakeRef(addrMask+1, false, false)
+	closed := make(chan error, 1)
+	go func() {
+		for i := 0; i < 100; i++ {
+			if i == 10 {
+				w.RefBatch(bad)
+			} else {
+				w.RefBatch(good)
+			}
+		}
+		closed <- w.Close()
+	}()
+	select {
+	case err := <-closed:
+		if err == nil || !strings.Contains(err.Error(), "outside the 61-bit trace ring") {
+			t.Fatalf("Close = %v, want the ring error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RefBatch or Close blocked after an encoder error")
+	}
+	if w.Count() != 10*mem.ChunkRefs {
+		t.Errorf("Count = %d, want the %d refs before the bad chunk", w.Count(), 10*mem.ChunkRefs)
+	}
+	if buf.Len() <= len(Magic2) {
+		t.Fatalf("no frames reached the output (%d bytes); the test needs a flushed prefix", buf.Len())
+	}
+	if _, err := Replay(context.Background(), &buf, &batchRecorder{}); err == nil ||
+		!strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("replaying the failed trace: %v, want a truncation error", err)
+	}
+}
+
+// Abort stops the encoder without a trailer; it is idempotent, Close
+// after it reports the abort, and after Close it does nothing.
+func TestV2Abort(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := makeRefs(40 * mem.ChunkRefs)
+	w.RefBatch(in)
+	w.Abort()
+	w.Abort()
+	w.RefBatch(in) // ignored
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after Abort returned nil")
+	}
+	if _, err := Replay(context.Background(), &buf, &batchRecorder{}); err == nil {
+		t.Fatal("an aborted trace replayed")
+	}
+
+	buf.Reset()
+	w, err = NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.RefBatch(in)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	if err := w.Err(); err != nil {
+		t.Fatalf("Abort after Close: Err = %v", err)
+	}
+	if n, err := Replay(context.Background(), &buf, &batchRecorder{}); err != nil || n != uint64(len(in)) {
+		t.Fatalf("replay after Close+Abort: %d refs, %v", n, err)
 	}
 }
 

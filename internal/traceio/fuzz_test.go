@@ -3,6 +3,8 @@ package traceio
 import (
 	"bytes"
 	"context"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"gcsim/internal/mem"
@@ -63,6 +65,85 @@ func FuzzReplay(f *testing.F) {
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("decoders=%d: classic err=%v, shared err=%v", nd, err, serr)
 			}
+		}
+	})
+}
+
+// FuzzBatchWriterRoundTrip writes fuzzer-drawn chunks through the
+// pipelined writer — empty, single-ref, exactly mem.ChunkRefs, and larger
+// ones the writer must split — each stamped with its own clock value, raw
+// or compressed, and replays the trace: every ref, every frame's stamp
+// and Count must come back.
+func FuzzBatchWriterRoundTrip(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3, 4}, false)
+	f.Add(uint64(2), []byte{3, 2, 1, 0, 3, 4, 4}, true)
+	f.Add(uint64(3), bytes.Repeat([]byte{2}, 2*writerRing+1), false)
+	f.Fuzz(func(t *testing.T, seed uint64, sizes []byte, compress bool) {
+		if limit := 2*writerRing + 8; len(sizes) > limit { // enough to fill the ring
+			sizes = sizes[:limit]
+		}
+		rng := rand.New(rand.NewPCG(seed, 0))
+		var buf bytes.Buffer
+		w, err := NewBatchWriter(&buf, WriterOpts{Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now uint64
+		w.SetClock(func() uint64 { return now })
+		var in []mem.Ref
+		var stamps []uint64
+		var addr uint64
+		chunk := make([]mem.Ref, 3*mem.ChunkRefs)
+		for _, b := range sizes {
+			var n int
+			switch b % 5 {
+			case 0:
+				n = 0
+			case 1:
+				n = 1
+			case 2:
+				n = mem.ChunkRefs
+			case 3: // split into two or three frames
+				n = mem.ChunkRefs + 1 + rng.IntN(2*mem.ChunkRefs-1)
+			default:
+				n = 2 + rng.IntN(mem.ChunkRefs-2)
+			}
+			for i := range chunk[:n] {
+				// Mostly short strides, with jumps anywhere in the ring.
+				if rng.IntN(8) == 0 {
+					addr = rng.Uint64() & addrMask
+				} else {
+					addr = (addr + uint64(rng.IntN(64)) - 32) & addrMask
+				}
+				chunk[i] = mem.MakeRef(addr, rng.IntN(2) == 0, rng.IntN(4) == 0)
+			}
+			in = append(in, chunk[:n]...)
+			now = rng.Uint64()
+			for k := 0; k < n; k += mem.ChunkRefs {
+				stamps = append(stamps, now)
+			}
+			w.RefBatch(chunk[:n]) // the writer copies it: chunk is reused
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Count() != uint64(len(in)) {
+			t.Fatalf("Count = %d, want %d", w.Count(), len(in))
+		}
+		rp, err := NewReplayer(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := &batchRecorder{clock: rp.Clock}
+		n, err := rp.Run(context.Background(), out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != uint64(len(in)) || !slices.Equal(out.refs, in) {
+			t.Fatalf("replayed %d refs, wrote %d; equal=%v", n, len(in), slices.Equal(out.refs, in))
+		}
+		if !slices.Equal(out.stamps, stamps) {
+			t.Fatalf("frame stamps %v, want %v", out.stamps, stamps)
 		}
 	})
 }
