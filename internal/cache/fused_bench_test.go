@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -80,22 +81,51 @@ func BenchmarkFusedLane(b *testing.B) {
 // config-ref, the unit of the benchmark harness's cache.ns_per_config_ref.
 // Building each bank (allocating and clearing its tag arrays) is not timed.
 func BenchmarkFusedGrid(b *testing.B) {
-	cfgs := SweepConfigs(WriteValidate)
-	for i := 1; i < len(cfgs); i += 2 {
-		cfgs[i].Policy = FetchOnWrite
-	}
-	stream := synthStream(1 << 20)
+	benchConfigRefs(b, fig1Configs(), synthStream(1<<20))
+}
+
+// benchConfigRefs runs stream through a fresh inline bank of cfgs per
+// iteration, building each bank untimed, and reports ns per config-ref and
+// the share of the references offered to the bank's strip filters that
+// they kept.
+func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var offered, kept uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		bank := NewFusedBank(cfgs)
 		b.StartTimer()
 		feedChunks(bank, stream)
+		o, k := bank.StripRefs()
+		offered, kept = offered+o, kept+k
 	}
 	b.StopTimer()
 	configRefs := float64(b.N) * float64(len(cfgs)) * float64(len(stream))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/configRefs, "ns/config-ref")
+	if offered > 0 {
+		b.ReportMetric(float64(kept)/float64(offered), "kept/offered")
+	}
+}
+
+// BenchmarkFusedGridLocal is BenchmarkFusedGrid on localStream, whose
+// reuse lets the strip filters drop most references, as on recorded
+// traces; synthStream's scattered revisits keep 89% of its references,
+// so BenchmarkFusedGrid shows the filters' overhead instead.
+func BenchmarkFusedGridLocal(b *testing.B) {
+	benchConfigRefs(b, fig1Configs(), localStream(1<<20))
+}
+
+// BenchmarkFusedGroup runs 1, 2, 3, 4 and 8 lanes of one block size (64
+// bytes, sizes from 32 KiB up) on localStream, lanes inline: the lane
+// counts around stripMinLanes, below which a group runs unfiltered.
+func BenchmarkFusedGroup(b *testing.B) {
+	stream := localStream(1 << 20)
+	for _, n := range []int{1, 2, 3, 4, 8} {
+		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
+			benchConfigRefs(b, benchConfigs()[:n], stream)
+		})
+	}
 }
 
 // BenchmarkFusedBankChunkBatch drives the replay entry point (stamped

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,12 +50,80 @@ func synthStream(n int) []mem.Ref {
 	return refs
 }
 
+// localStream generates a deterministic reference stream with a
+// program's reuse, the shape the strip filter sees on recorded traces:
+// frame pushes and pops over a small stack window, an allocation sweep
+// whose words are read back, and updated, soon after, and a few collector
+// bursts that read scattered live words and copy them to a to-space.
+func localStream(n int) []mem.Ref {
+	refs := make([]mem.Ref, 0, n)
+	rng := uint64(0x853C49E6748FEA9B)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	emit := func(addr uint64, write, collector bool) {
+		if len(refs) < n {
+			refs = append(refs, mem.MakeRef(addr, write, collector))
+		}
+	}
+	const window = 512 // stack words
+	var sp uint64      // stack depth in words
+	frontier, toSpace := mem.DynBase+1<<20, mem.DynBase+1<<22
+	for len(refs) < n {
+		switch k := next() % 64; {
+		case k < 20 && sp+4 <= window: // push a frame
+			for i := uint64(0); i < 4; i++ {
+				emit(mem.StackBase+sp+i, true, false)
+			}
+			sp += 4
+		case k < 36 && sp >= 4: // pop a frame, reading it
+			sp -= 4
+			for i := uint64(0); i < 4; i++ {
+				emit(mem.StackBase+sp+i, false, false)
+			}
+		case k < 48: // allocate a 3-word object and read it back
+			for i := uint64(0); i < 3; i++ {
+				emit(frontier+i, true, false)
+			}
+			emit(frontier, false, false)
+			emit(frontier+2, false, false)
+			frontier += 3
+		case k < 56: // read a recent object's field
+			emit(frontier-1-next()%512, false, false)
+		case k < 63: // read, then update, a recent object's field
+			addr := frontier - 1 - next()%512
+			emit(addr, false, false)
+			emit(addr, true, false)
+		case next()%16 == 0: // a collector burst
+			for i := 0; i < 32; i++ {
+				emit(frontier-1-next()%(1<<16), false, true)
+				emit(toSpace, true, true)
+				toSpace++
+			}
+		}
+	}
+	return refs
+}
+
 // benchConfigs is an 8-configuration sweep (the full size range at 64-byte
 // blocks), the shape gcSweepConfigs feeds every Section 6 experiment.
 func benchConfigs() []Config {
 	var cfgs []Config
 	for _, s := range Sizes {
 		cfgs = append(cfgs, Config{SizeBytes: s, BlockBytes: 64, Policy: WriteValidate})
+	}
+	return cfgs
+}
+
+// fig1Configs is the Figure 1 grid, all 40 size x block configurations,
+// write policies alternating.
+func fig1Configs() []Config {
+	cfgs := SweepConfigs(WriteValidate)
+	for i := 1; i < len(cfgs); i += 2 {
+		cfgs[i].Policy = FetchOnWrite
 	}
 	return cfgs
 }
@@ -305,8 +374,8 @@ func TestFusedBankInstrumentedLane(t *testing.T) {
 	}
 }
 
-// TestFusedBankPerRefTracer exercises the mem.Tracer fallback: direct
-// per-cache accesses inline, staged chunks when sharded.
+// TestFusedBankPerRefTracer exercises the mem.Tracer fallback: one-ref
+// chunks inline, staged chunks when sharded.
 func TestFusedBankPerRefTracer(t *testing.T) {
 	stream := synthStream(10_000)
 	cfgs := benchConfigs()
@@ -322,6 +391,93 @@ func TestFusedBankPerRefTracer(t *testing.T) {
 		}
 		fused.Drain()
 		sameStats(t, serial.Caches, fused.Caches)
+	}
+}
+
+// TestFusedBankRefThenBatchInOrder alternates the two producer entry
+// points: a sharded bank stages Ref's references, and the RefBatch after
+// them must publish them before its own chunk, so the lanes see the
+// stream in order. The 8-config sweep shares one block size, so a strip
+// filter is armed at both worker counts.
+func TestFusedBankRefThenBatchInOrder(t *testing.T) {
+	stream := synthStream(50_000)
+	cfgs := benchConfigs()
+	feed := func(tr interface {
+		mem.Tracer
+		mem.BatchTracer
+	}) {
+		for refs := stream; len(refs) > 0; {
+			n := min(len(refs), 100)
+			for _, r := range refs[:n] {
+				tr.Ref(r.Addr(), r.Write(), r.Collector())
+			}
+			refs = refs[n:]
+			n = min(len(refs), 300)
+			tr.RefBatch(refs[:n])
+			refs = refs[n:]
+		}
+	}
+	serial := NewBank(cfgs)
+	feed(serial)
+	for _, n := range []int{1, 2} {
+		fused := NewFusedBankWorkers(cfgs, n)
+		feed(fused)
+		fused.Drain()
+		if offered, _ := fused.StripRefs(); offered == 0 {
+			t.Errorf("workers=%d: no strip filter was armed", n)
+		}
+		sameStats(t, serial.Caches, fused.Caches)
+	}
+}
+
+// settle waits until every chunk a sharded bank has published has been
+// simulated by every worker: the last worker to finish a chunk returns it
+// to the ring, so holding the whole ring means no chunk is in flight.
+func settle(b *FusedBank) {
+	if b.workers == nil {
+		return
+	}
+	var held [fusedRing]*fusedChunk
+	for i := range held {
+		held[i] = <-b.free
+	}
+	for _, ck := range held {
+		b.free <- ck
+	}
+}
+
+// TestFusedBankStripState checks the strip filters' exactness on cache
+// state, not only on Stats: after every chunk of a program-like stream,
+// each lane's tags, valid bits and dirty bits must equal the serial
+// Bank's, over the Figure 1 grid, inline and on two workers. Stats alone
+// would miss a dropped reference whose effect shows only later, such as a
+// dirty bit that is never written back. The filters must drop at least
+// half of the stream, or the check would hardly exercise them.
+func TestFusedBankStripState(t *testing.T) {
+	stream := localStream(200_000)
+	cfgs := fig1Configs()
+	for _, n := range []int{1, 2} {
+		serial := NewBank(cfgs)
+		fused := NewFusedBankWorkers(cfgs, n)
+		for refs, k := stream, 0; len(refs) > 0; k++ {
+			m := min(len(refs), mem.ChunkRefs)
+			serial.RefBatch(refs[:m])
+			fused.RefBatch(refs[:m])
+			refs = refs[m:]
+			settle(fused)
+			for i, sc := range serial.Caches {
+				fc := fused.Caches[i]
+				if !slices.Equal(sc.tags, fc.tags) || !slices.Equal(sc.valid, fc.valid) || !slices.Equal(sc.dirty, fc.dirty) {
+					t.Fatalf("workers=%d config %v: state differs from the serial Bank's after chunk %d", n, sc.Config(), k)
+				}
+			}
+		}
+		fused.Drain()
+		sameStats(t, serial.Caches, fused.Caches)
+		offered, kept := fused.StripRefs()
+		if offered == 0 || 2*kept > offered {
+			t.Errorf("workers=%d: strip filters kept %d of %d refs, want at most half", n, kept, offered)
+		}
 	}
 }
 

@@ -176,7 +176,8 @@ func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 }
 
 // oracleSeeds are the fuzz target's seed inputs: streams with locality in
-// every base over assorted geometries, and the 64-bit byte-address wrap.
+// every base over assorted geometries, the 64-bit byte-address wrap, and
+// block-size groups large enough for the FusedBank's strip filters.
 func oracleSeeds() [][]byte {
 	rng := uint64(0x2545F4914F6CDD1D)
 	next := func() byte {
@@ -205,6 +206,31 @@ func oracleSeeds() [][]byte {
 	// read hit on the claimed word, not a conflict miss.
 	const top, belowWrap = 4 << 2, 3 << 2
 	seeds = append(seeds, []byte{0, 0, 1, 4, top | 1, 5, belowWrap, 5, top, 4, belowWrap | 2, 5})
+
+	// Strip groups: three or more configs on one block size, so the
+	// FusedBank filters them inline, and on both workers when six share
+	// it. walk appends n refs with random write and collector flags whose
+	// offsets wander in small steps within span words from lo, at bases
+	// drawn from bases.
+	walk := func(data, bases []byte, lo, span, n int) []byte {
+		for i, off := 0, 0; i < n; i++ {
+			off = (off + int(next()%8) + span - 3) % span
+			a := lo + off
+			f := next()&3 | bases[int(next())%len(bases)]<<2 | byte(a>>8)<<5
+			data = append(data, f, byte(a))
+		}
+		return data
+	}
+	// Five 8-byte-block caches (config byte a = 0 or 0x85) at the top of
+	// the word range, on both sides of the 2^61 wrap, where block numbers
+	// use every bit below the filter's written flag.
+	seeds = append(seeds, walk([]byte{4, 3, 0, 0, 0x85, 1, 0, 2, 0x85, 0, 7, 3}, []byte{3, 4}, 0x780, 0x80, 1500))
+	// Six 512-byte-block caches (a = 6 or 0x84): word offsets cover the
+	// whole 64-word mask.
+	seeds = append(seeds, walk([]byte{5, 2, 6, 3, 6, 4, 0x84, 5, 0x84, 4, 6, 6, 0x84, 3}, []byte{0, 2}, 0, 0x400, 1500))
+	// Six 16-byte-block caches (a = 1 or 0x86), two of them three times
+	// and twice, fed one ref per chunk.
+	seeds = append(seeds, walk([]byte{5, 0, 1, 2, 1, 2, 0x86, 3, 0x86, 3, 1, 4, 1, 2}, []byte{1, 2}, 0, 0x100, 1500))
 	return seeds
 }
 

@@ -646,7 +646,7 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 		bank.Drain() // the stage clocks and the wall time include the workers' tail
 		dur := time.Since(start)
 		span.End()
-		emitReplayStages(spanCtx, start, sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds())
+		emitReplayStages(spanCtx, start, sr.DecodeSeconds(), bank)
 		decodeOnceFrames.Add(sr.Frames())
 
 		switch {
@@ -695,16 +695,20 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 // child spans of the replay span (ctx must carry it). The clocks are
 // per-chunk measurements summed across decoder goroutines and lanes, so
 // each child is an aggregate — marked as such, sharing the replay's start
-// time — and their durations can exceed the replay's wall time.
-func emitReplayStages(ctx context.Context, start time.Time, decodeSec, simSec, mergeSec float64) {
+// time — and their durations can exceed the replay's wall time. The
+// simulate span also carries the references the bank's strip filters
+// were offered and kept (strip_offered, strip_kept).
+func emitReplayStages(ctx context.Context, start time.Time, decodeSec float64, bank *cache.FusedBank) {
 	r := Spans()
 	if r == nil {
 		return
 	}
 	agg := map[string]string{"aggregate": "true"}
+	offered, kept := bank.StripRefs()
+	sim := map[string]string{"aggregate": "true", "strip_offered": fmt.Sprint(offered), "strip_kept": fmt.Sprint(kept)}
 	r.Emit(ctx, telemetry.StageDecode, start, time.Duration(decodeSec*float64(time.Second)), agg)
-	r.Emit(ctx, telemetry.StageSimulate, start, time.Duration(simSec*float64(time.Second)), agg)
-	r.Emit(ctx, telemetry.StageMerge, start, time.Duration(mergeSec*float64(time.Second)), agg)
+	r.Emit(ctx, telemetry.StageSimulate, start, time.Duration(bank.SimulateSeconds()*float64(time.Second)), sim)
+	r.Emit(ctx, telemetry.StageMerge, start, time.Duration(bank.MergeSeconds()*float64(time.Second)), agg)
 }
 
 func traceProvenance(source string, meta *TraceMeta) *telemetry.TraceRecord {
