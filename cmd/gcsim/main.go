@@ -375,21 +375,9 @@ func runWorkloadCheckpointed(ctx context.Context, out io.Writer, w *workloads.Wo
 	if len(sweep.Results) == 0 {
 		return fmt.Errorf("no configuration completed")
 	}
-	// Rebuild report caches from the (possibly checkpoint-loaded) stats so
-	// the table matches the single-pass sweep byte for byte.
-	first := sweep.Results[0]
-	caches := make([]*cache.Cache, 0, len(sweep.Results))
-	for _, r := range sweep.Results {
-		caches = append(caches, report.CacheFor(r.Config, r.CacheStats))
-	}
-	report.Render(out, report.Run{
-		Name:      w.Name,
-		Collector: sweep.Collector,
-		GCStats:   first.GCStats,
-		Checksum:  first.Checksum,
-		Insns:     first.Insns,
-		GCInsns:   first.GCInsns,
-	}, caches, opts.verbose)
+	// The (possibly checkpoint-loaded) results render the table the
+	// single-pass sweep prints, byte for byte.
+	report.Results(out, w.Name, sweep.Collector, sweep.Results, opts.verbose)
 	if n := len(sweep.Failures); n > 0 {
 		return fmt.Errorf("%d of %d configurations failed", n, len(cfgs))
 	}
@@ -422,6 +410,7 @@ func runFile(ctx context.Context, out io.Writer, path string, col gc.Collector, 
 	if scheme.IsFixnum(v) {
 		checksum = scheme.FixnumValue(v)
 	}
+	rows := report.Rows(bank.Caches)
 	if len(cfgs) == 1 {
 		report.Single(out, report.Run{
 			Name:      path,
@@ -430,13 +419,13 @@ func runFile(ctx context.Context, out io.Writer, path string, col gc.Collector, 
 			Checksum:  checksum,
 			Insns:     m.Insns(),
 			GCInsns:   m.GCInsns(),
-		}, bank.Caches[0], verbose)
+		}, &rows[0], verbose)
 		return nil
 	}
 	fmt.Fprintf(out, "program:     %s\n", path)
 	fmt.Fprintf(out, "collector:   %s (%d collections, %d words copied)\n",
 		col.Name(), col.Stats().Collections, col.Stats().CopiedWords)
 	fmt.Fprintf(out, "insns:       %d program + %d collector\n", m.Insns(), m.GCInsns())
-	report.Table(out, bank.Caches, m.Insns(), verbose)
+	report.Table(out, rows, m.Insns(), verbose)
 	return nil
 }

@@ -30,9 +30,7 @@ func runRemote(ctx context.Context, out io.Writer, base, workload string, scale 
 		Retries:  opts.retries,
 		Priority: opts.priority,
 		Label:    "gcsim-remote",
-	}
-	for _, cfg := range cfgs {
-		spec.Configs = append(spec.Configs, server.ConfigFromCache(cfg))
+		Configs:  cfgs,
 	}
 
 	prog := core.Progress()

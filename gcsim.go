@@ -54,10 +54,6 @@ type (
 	CacheConfig = cache.Config
 	// CacheBank simulates many configurations in one pass.
 	CacheBank = cache.Bank
-	// ParallelCacheBank simulates many configurations in one pass with
-	// the fused kernel, its lanes sharded across worker goroutines; call
-	// Drain before reading stats.
-	ParallelCacheBank = cache.ParallelBank
 	// Ref is one packed data reference of the batch pipeline.
 	Ref = mem.Ref
 	// BatchTracer observes references a sealed chunk at a time.
@@ -130,13 +126,6 @@ func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
 
 // NewCacheBank builds one cache per configuration, fed in lockstep.
 func NewCacheBank(cfgs []CacheConfig) *CacheBank { return cache.NewBank(cfgs) }
-
-// NewParallelCacheBank builds one cache per configuration, dealt
-// round-robin across up to GOMAXPROCS worker goroutines. Statistics are
-// bitwise identical to NewCacheBank's; call Drain before reading them.
-func NewParallelCacheBank(cfgs []CacheConfig) *ParallelCacheBank {
-	return cache.NewParallelBank(cfgs)
-}
 
 // SetParallelism bounds concurrent experiment runs, the trace decoders of
 // a replayed sweep, and the workers a sweep's cache bank shards its

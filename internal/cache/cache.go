@@ -40,11 +40,42 @@ func (p WritePolicy) String() string {
 	return "fetch-on-write"
 }
 
-// Config describes one direct-mapped cache.
+// ParsePolicy resolves a write-miss policy name: "write-validate" or
+// "fetch-on-write".
+func ParsePolicy(name string) (WritePolicy, error) {
+	switch name {
+	case "write-validate":
+		return WriteValidate, nil
+	case "fetch-on-write":
+		return FetchOnWrite, nil
+	}
+	return 0, fmt.Errorf("cache: unknown policy %q", name)
+}
+
+// MarshalText encodes the policy by name, so every JSON form of a Config
+// (checkpoints, gcsimd jobs, run records) carries it readably.
+func (p WritePolicy) MarshalText() ([]byte, error) {
+	if p > FetchOnWrite {
+		return nil, fmt.Errorf("cache: unknown policy %d", p)
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText accepts only the two policy names.
+func (p *WritePolicy) UnmarshalText(text []byte) error {
+	v, err := ParsePolicy(string(text))
+	if err == nil {
+		*p = v
+	}
+	return err
+}
+
+// Config describes one direct-mapped cache. Its JSON form is the one
+// every checkpoint, gcsimd job and run record uses.
 type Config struct {
-	SizeBytes  int // total capacity: 32 KiB ... 4 MiB in the paper
-	BlockBytes int // block and fetch size: 16 ... 256 bytes
-	Policy     WritePolicy
+	SizeBytes  int         `json:"size_bytes"`  // total capacity: 32 KiB ... 4 MiB in the paper
+	BlockBytes int         `json:"block_bytes"` // block and fetch size: 16 ... 256 bytes
+	Policy     WritePolicy `json:"policy"`
 }
 
 func (c Config) String() string {

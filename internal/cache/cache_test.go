@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 
@@ -292,6 +294,38 @@ func TestPolicyAndConfigStrings(t *testing.T) {
 	if c.String() != "64k/64b/write-validate" {
 		t.Errorf("Config.String() = %q", c.String())
 	}
+}
+
+// FuzzConfigJSON holds Config's JSON form to its contract: any input
+// either fails to decode, or decodes to one of the two policies and
+// encodes to bytes that decode to the same Config and encode to the same
+// bytes again.
+func FuzzConfigJSON(f *testing.F) {
+	f.Add([]byte(`{"size_bytes":65536,"block_bytes":64,"policy":"write-validate"}`))
+	f.Add([]byte(`{"size_bytes":1048576,"block_bytes":16,"policy":"fetch-on-write"}`))
+	f.Add([]byte(`{"size_bytes":32768,"policy":"write-sometimes"}`))
+	f.Add([]byte(`{"Policy":1}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if json.Unmarshal(data, &c) != nil {
+			return
+		}
+		if c.Policy != WriteValidate && c.Policy != FetchOnWrite {
+			t.Fatalf("%q decoded to policy %d", data, c.Policy)
+		}
+		enc, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("encoding %+v: %v", c, err)
+		}
+		var back Config
+		if err := json.Unmarshal(enc, &back); err != nil || back != c {
+			t.Fatalf("%s decoded to %+v (err %v), want %+v", enc, back, err, c)
+		}
+		if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding %+v gave %s (err %v), want %s", back, again, err, enc)
+		}
+	})
 }
 
 // Property: for any reference sequence, a reference to a word that was the

@@ -614,10 +614,5 @@ func NewParallelBank(cfgs []Config) *FusedBank {
 	return NewFusedBankWorkers(cfgs, runtime.GOMAXPROCS(0))
 }
 
-// NewParallelBankWorkers builds a bank sharded across at most n workers.
-//
-// Deprecated: use NewFusedBankWorkers.
-func NewParallelBankWorkers(cfgs []Config, n int) *FusedBank { return NewFusedBankWorkers(cfgs, n) }
-
 var _ mem.Tracer = (*FusedBank)(nil)
 var _ mem.BatchTracer = (*FusedBank)(nil)

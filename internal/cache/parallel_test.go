@@ -2,9 +2,10 @@ package cache
 
 import "testing"
 
-// These tests drive the deprecated ParallelBank names (NewParallelBank,
-// NewParallelBankWorkers), which gcsim.go and the benchmark harness still
-// use, so the aliases keep the behavior the sharded FusedBank guarantees.
+// These tests drive the deprecated ParallelBank and NewParallelBank
+// names, which stay only because bench/sweep.go names them, so the
+// aliases keep the behavior the sharded FusedBank guarantees. The
+// sharding test builds its banks with NewFusedBankWorkers.
 
 func TestParallelBankMatchesSerialBank(t *testing.T) {
 	stream := synthStream(300_000)
@@ -38,7 +39,7 @@ func TestParallelBankWorkerSharding(t *testing.T) {
 	feedChunks(serial, stream)
 
 	for _, n := range []int{1, 2, 3, len(cfgs), len(cfgs) + 5} {
-		par := NewParallelBankWorkers(cfgs, n)
+		par := NewFusedBankWorkers(cfgs, n)
 		want := min(n, len(cfgs))
 		if want == 1 {
 			want = 0

@@ -73,14 +73,11 @@ func ParseConfigs(sizes, blocks, policies string) ([]cache.Config, error) {
 		polList = []cache.WritePolicy{cache.WriteValidate, cache.FetchOnWrite}
 	} else {
 		for _, p := range strings.Split(policies, ",") {
-			switch strings.TrimSpace(p) {
-			case "write-validate":
-				polList = append(polList, cache.WriteValidate)
-			case "fetch-on-write":
-				polList = append(polList, cache.FetchOnWrite)
-			default:
-				return nil, fmt.Errorf("unknown policy %q", p)
+			pol, err := cache.ParsePolicy(strings.TrimSpace(p))
+			if err != nil {
+				return nil, err
 			}
+			polList = append(polList, pol)
 		}
 	}
 	var cfgs []cache.Config

@@ -12,46 +12,43 @@ import (
 )
 
 // CheckpointSchema identifies the per-config checkpoint entry format.
-const CheckpointSchema = "gcsim-checkpoint/v1"
+const CheckpointSchema = "gcsim-checkpoint/v2"
 
 // ConfigResult is the outcome of simulating one workload/collector pair
 // against a single cache configuration. It is the unit of checkpointing:
 // per-cache statistics are independent of which other configurations
 // shared the run (the VM is deterministic, so every configuration sees the
 // identical reference stream), which is what makes per-config results
-// recombinable across separate processes.
+// recombinable across separate processes. Its JSON form is the one
+// checkpoint entries, gcsimd jobs and cluster shards carry.
 type ConfigResult struct {
-	Config     cache.Config
-	CacheStats cache.Stats
-	Checksum   int64
-	Insns      uint64
-	GCInsns    uint64
-	GCStats    gc.Stats
-	// FromCheckpoint marks results loaded from disk by a resumed sweep
-	// rather than computed in this process.
-	FromCheckpoint bool
-}
-
-// checkpointEntry is the on-disk form of one ConfigResult, with enough
-// identity (workload, scale, collector) to refuse a stale or mismatched
-// checkpoint directory.
-type checkpointEntry struct {
-	Schema     string       `json:"schema"`
-	Workload   string       `json:"workload"`
-	Scale      int          `json:"scale"`
-	Collector  string       `json:"collector"`
 	Config     cache.Config `json:"config"`
-	ConfigName string       `json:"config_name"`
+	CacheStats cache.Stats  `json:"cache_stats"`
 	Checksum   int64        `json:"checksum"`
 	Insns      uint64       `json:"insns"`
 	GCInsns    uint64       `json:"gc_insns"`
 	GCStats    gc.Stats     `json:"gc_stats"`
-	CacheStats cache.Stats  `json:"cache_stats"`
+	// FromCheckpoint marks results loaded from disk by a resumed sweep
+	// rather than computed in this process.
+	FromCheckpoint bool `json:"from_checkpoint,omitempty"`
+}
+
+// checkpointEntry is the on-disk form of one ConfigResult, with enough
+// identity (workload, scale, collector identity) to refuse a stale or
+// mismatched checkpoint directory.
+type checkpointEntry struct {
+	Schema    string `json:"schema"`
+	Workload  string `json:"workload"`
+	Scale     int    `json:"scale"`
+	Collector string `json:"collector"` // gc.Identity, e.g. "cheney/ss=32768w"
+	ConfigResult
 }
 
 // Checkpoint persists per-config sweep results in a directory, one JSON
 // file per completed configuration, written atomically (temp file +
-// rename) so an interrupt can never leave a torn entry behind.
+// rename) so an interrupt can never leave a torn entry behind. Entries
+// are keyed by workload, scale, the collector's gc.Identity and the
+// configuration.
 type Checkpoint struct {
 	Dir string
 }
@@ -64,28 +61,19 @@ func NewCheckpoint(dir string) (*Checkpoint, error) {
 	return &Checkpoint{Dir: dir}, nil
 }
 
-// entryPath names the checkpoint file for one run identity. Config names
-// contain '/' (e.g. "64k/64b/write-validate"), which the filename flattens.
+// entryPath names the checkpoint file for one run identity. Collector
+// identities and config names contain '/' (e.g. "cheney/ss=32768w",
+// "64k/64b/write-validate"), which the file name flattens.
 func (c *Checkpoint) entryPath(workload string, scale int, collector string, cfg cache.Config) string {
-	name := strings.ReplaceAll(cfg.String(), "/", "_")
-	return filepath.Join(c.Dir, fmt.Sprintf("%s-s%d-%s-%s.json", workload, scale, collector, name))
+	name := fmt.Sprintf("%s-s%d-%s-%s.json", workload, scale, collector, cfg)
+	return filepath.Join(c.Dir, strings.ReplaceAll(name, "/", "_"))
 }
 
-// Save persists one completed configuration.
+// Save persists one completed configuration under the collector's
+// identity.
 func (c *Checkpoint) Save(workload string, scale int, collector string, res ConfigResult) error {
-	e := checkpointEntry{
-		Schema:     CheckpointSchema,
-		Workload:   workload,
-		Scale:      scale,
-		Collector:  collector,
-		Config:     res.Config,
-		ConfigName: res.Config.String(),
-		Checksum:   res.Checksum,
-		Insns:      res.Insns,
-		GCInsns:    res.GCInsns,
-		GCStats:    res.GCStats,
-		CacheStats: res.CacheStats,
-	}
+	res.FromCheckpoint = false // Load marks what it reads
+	e := checkpointEntry{Schema: CheckpointSchema, Workload: workload, Scale: scale, Collector: collector, ConfigResult: res}
 	data, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {
 		return fmt.Errorf("core: checkpoint encode: %w", err)
@@ -125,13 +113,6 @@ func (c *Checkpoint) Load(workload string, scale int, collector string, cfg cach
 		return ConfigResult{}, false, fmt.Errorf("core: checkpoint %s does not match run identity %s/s%d/%s/%s",
 			path, workload, scale, collector, cfg)
 	}
-	return ConfigResult{
-		Config:         e.Config,
-		CacheStats:     e.CacheStats,
-		Checksum:       e.Checksum,
-		Insns:          e.Insns,
-		GCInsns:        e.GCInsns,
-		GCStats:        e.GCStats,
-		FromCheckpoint: true,
-	}, true, nil
+	e.FromCheckpoint = true
+	return e.ConfigResult, true, nil
 }

@@ -425,3 +425,123 @@ func TestCheckpointRejectsMismatchedEntry(t *testing.T) {
 		t.Errorf("missing entry: ok=%v err=%v, want clean miss", ok, err)
 	}
 }
+
+// TestCheckpointKeyedByCollectorIdentity resumes a checkpointed sweep
+// under a Cheney collector with another semispace and requires that
+// collector's own numbers: entries are keyed by gc.Identity, so the first
+// sweep's entries are another run's and are not loaded.
+func TestCheckpointKeyedByCollectorIdentity(t *testing.T) {
+	w, err := workloads.ByName("nbody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := faultConfigs()[:2]
+	ck, err := NewCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepWith := func(semispace int, resume bool) *PerConfigSweep {
+		t.Helper()
+		sw, err := RunSweepPerConfig(context.Background(), w, 1, cfgs, PerConfigSweepOpts{
+			MakeCollector: func() gc.Collector { return gc.NewCheney(semispace) },
+			Checkpoint:    ck,
+			Resume:        resume,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	small := sweepWith(64<<10, false)
+	resumed := sweepWith(1<<20, true)
+
+	fresh, err := RunSweep(context.Background(), w, 1, gc.NewCheney(1<<20), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Results[0].GCStats == fresh.Run.GCStats {
+		t.Fatal("both semispaces collect alike; the test cannot tell their entries apart")
+	}
+	if len(resumed.Results) != len(cfgs) {
+		t.Fatalf("%d results, want %d", len(resumed.Results), len(cfgs))
+	}
+	for _, r := range resumed.Results {
+		if want := fresh.Result(r.Config); r != want {
+			t.Errorf("config %s resumed under a 1 MiB semispace: %+v, want a fresh run's %+v", r.Config, r, want)
+		}
+	}
+}
+
+// TestCheckpointEntryForm pins a checkpoint entry: its file name flattens
+// the collector identity, and its JSON is the run identity followed by
+// ConfigResult's own form, with the policy by name and neither
+// config_name nor from_checkpoint.
+func TestCheckpointEntryForm(t *testing.T) {
+	ck, err := NewCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cache.Config{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.FetchOnWrite}
+	res := ConfigResult{
+		Config:         cfg,
+		CacheStats:     cache.Stats{Reads: 10, Writes: 4, ReadMisses: 3, GCReads: 2},
+		Checksum:       -5,
+		Insns:          100,
+		GCInsns:        7,
+		GCStats:        gc.Stats{Collections: 1, CopiedWords: 9},
+		FromCheckpoint: true,
+	}
+	identity := gc.Identity(gc.NewCheney(64 << 10))
+	if err := ck.Save("nbody", 1, identity, res); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(ck.Dir, "nbody-s1-cheney_ss=8192w-32k_32b_fetch-on-write.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "schema": "gcsim-checkpoint/v2",
+  "workload": "nbody",
+  "scale": 1,
+  "collector": "cheney/ss=8192w",
+  "config": {
+    "size_bytes": 32768,
+    "block_bytes": 32,
+    "policy": "fetch-on-write"
+  },
+  "cache_stats": {
+    "Reads": 10,
+    "Writes": 4,
+    "ReadMisses": 3,
+    "WriteMisses": 0,
+    "WriteAllocs": 0,
+    "GCReads": 2,
+    "GCWrites": 0,
+    "GCReadMisses": 0,
+    "GCWriteMisses": 0,
+    "Writebacks": 0,
+    "GCWritebacks": 0
+  },
+  "checksum": -5,
+  "insns": 100,
+  "gc_insns": 7,
+  "gc_stats": {
+    "Collections": 1,
+    "MajorCollections": 0,
+    "CopiedObjects": 0,
+    "CopiedWords": 9,
+    "ScannedSlots": 0,
+    "BarrierChecks": 0,
+    "BarrierHits": 0,
+    "LiveAfterLast": 0
+  }
+}
+`
+	if string(data) != want {
+		t.Errorf("checkpoint entry:\n%s\nwant:\n%s", data, want)
+	}
+	got, ok, err := ck.Load("nbody", 1, identity, cfg)
+	if err != nil || !ok || got != res {
+		t.Errorf("Load = %+v, %v, %v; want %+v", got, ok, err, res)
+	}
+}

@@ -32,17 +32,12 @@ import (
 // shutdown (park as interrupted) with errors.Is.
 var ErrPreempted = errors.New("core: sweep preempted")
 
-// withCause augments a cancellation error with the context's cancel
+// WithCause augments a cancellation error with the context's cancel
 // cause when the caller supplied one. A plain cancellation (cause ==
 // ctx.Err()) and a non-cancelled context pass through unchanged, so
-// existing errors.Is(err, context.Canceled) checks keep working.
-func withCause(ctx context.Context, err error) error {
-	return WithCause(ctx, err)
-}
-
-// WithCause is withCause for callers outside the engine: a cluster
-// coordinator folding a shard's cancellation into the same shape this
-// package returns, so errors.Is(err, ErrPreempted) works on both paths.
+// existing errors.Is(err, context.Canceled) checks keep working. A
+// cluster coordinator folds a shard's cancellation through it too, so
+// errors.Is(err, ErrPreempted) works on both paths.
 func WithCause(ctx context.Context, err error) error {
 	if err == nil || ctx.Err() == nil {
 		return err
@@ -88,16 +83,6 @@ type PerConfigSweep struct {
 	Failures  []*RunFailure
 }
 
-// Result returns the completed result for cfg, if any.
-func (s *PerConfigSweep) Result(cfg cache.Config) (ConfigResult, bool) {
-	for _, r := range s.Results {
-		if r.Config == cfg {
-			return r, true
-		}
-	}
-	return ConfigResult{}, false
-}
-
 // RunSweepPerConfig runs one workload/collector pair against each cache
 // configuration as an independent simulation, bounded by Parallelism().
 // Failed configurations (after the retry budget) are collected in
@@ -115,8 +100,11 @@ func RunSweepPerConfig(ctx context.Context, w *workloads.Workload, scale int, cf
 	if scale == 0 {
 		scale = w.DefaultScale
 	}
-	colName := "none"
-	if col := opts.MakeCollector(); col != nil {
+	// Checkpoint entries are keyed by the collector's identity, not its
+	// name: a Cheney collector with another semispace is another run.
+	col := opts.MakeCollector()
+	colName, identity := "none", collectorIdentity(col)
+	if col != nil {
 		colName = col.Name()
 	}
 	sweep := &PerConfigSweep{Workload: w.Name, Scale: scale, Collector: colName}
@@ -126,7 +114,7 @@ func RunSweepPerConfig(ctx context.Context, w *workloads.Workload, scale int, cf
 	var todo []int
 	for i, cfg := range cfgs {
 		if opts.Resume && opts.Checkpoint != nil {
-			res, ok, err := opts.Checkpoint.Load(w.Name, scale, colName, cfg)
+			res, ok, err := opts.Checkpoint.Load(w.Name, scale, identity, cfg)
 			if err != nil {
 				return sweep, err
 			}
@@ -138,26 +126,62 @@ func RunSweepPerConfig(ctx context.Context, w *workloads.Workload, scale int, cf
 		todo = append(todo, i)
 	}
 
+	// commit is the one path each computed result takes, from the fused
+	// pass or a per-config run: checkpointed, placed in its input-order
+	// slot, and announced. finish assembles the sweep in input order.
+	commit := func(i int, sw *SweepResult) error {
+		res := sw.Result(cfgs[i])
+		if opts.Checkpoint != nil {
+			if err := opts.Checkpoint.Save(w.Name, scale, identity, res); err != nil {
+				return err
+			}
+		}
+		results[i] = &res
+		if opts.OnResult != nil {
+			opts.OnResult(res)
+		}
+		return nil
+	}
+	finish := func(err error) (*PerConfigSweep, error) {
+		for i := range cfgs {
+			if r := results[i]; r != nil {
+				sweep.Results = append(sweep.Results, *r)
+			}
+			if f := failures[i]; f != nil {
+				sweep.Failures = append(sweep.Failures, f)
+			}
+		}
+		if err != nil {
+			return sweep, WithCause(ctx, err)
+		}
+		return sweep, sweep.CheckConsistency()
+	}
+
 	// With a trace cache active the remaining configurations can all be
 	// served by one fused replay: decode the trace once, simulate every
-	// config in a single pass, and commit the results individually (each
-	// checkpointed and announced exactly as a per-config run would be).
-	// Any failure other than cancellation falls back to the independent
-	// per-config runs below — the fault-tolerance contract is unchanged,
-	// the fused pass is purely a fast path.
+	// config in a single pass, and commit the results one by one in
+	// input order. Any failure other than cancellation falls back to the
+	// independent per-config runs below — the fault-tolerance contract is
+	// unchanged, the fused pass is purely a fast path.
 	if opts.TraceCache != nil && len(todo) > 1 {
-		done, perr := fusedPerConfigPass(ctx, w, scale, cfgs, todo, colName, opts, results)
-		if perr != nil {
-			for _, r := range results {
-				if r != nil {
-					sweep.Results = append(sweep.Results, *r)
+		sub := make([]cache.Config, len(todo))
+		for k, i := range todo {
+			sub[k] = cfgs[i]
+		}
+		sw, err := runSweepIsolated(ctx, opts.TraceCache, w, scale, opts.MakeCollector(), sub)
+		switch {
+		case err == nil:
+			for _, i := range todo {
+				if err := commit(i, sw); err != nil {
+					return finish(err)
 				}
 			}
-			return sweep, withCause(ctx, perr)
+			return finish(nil)
+		case cancelled(ctx, err):
+			return finish(err)
 		}
-		if done {
-			todo = nil
-		}
+		progress().Printf("fused sweep over %d configs failed, falling back to per-config runs: %v",
+			len(todo), err)
 	}
 
 	err := forEachPar(ctx, len(todo), func(ti int) error {
@@ -165,22 +189,13 @@ func RunSweepPerConfig(ctx context.Context, w *workloads.Workload, scale int, cf
 		cfg := cfgs[i]
 		var lastErr error
 		for attempt := 1; attempt <= 1+opts.Retries; attempt++ {
-			res, err := runOneConfig(ctx, opts.TraceCache, w, scale, opts.MakeCollector(), cfg)
+			sw, err := runSweepIsolated(ctx, opts.TraceCache, w, scale, opts.MakeCollector(), cfgs[i:i+1])
 			if err == nil {
-				if opts.Checkpoint != nil {
-					if cerr := opts.Checkpoint.Save(w.Name, scale, colName, res); cerr != nil {
-						return cerr
-					}
-				}
-				results[i] = &res
-				if opts.OnResult != nil {
-					opts.OnResult(res)
-				}
-				return nil
+				return commit(i, sw)
 			}
 			lastErr = err
 			// Cancellation is not a per-config failure: abort the sweep.
-			if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if cancelled(ctx, err) {
 				return err
 			}
 			progress().Printf("config %s attempt %d/%d failed: %v", cfg, attempt, 1+opts.Retries, err)
@@ -199,72 +214,19 @@ func RunSweepPerConfig(ctx context.Context, w *workloads.Workload, scale int, cf
 		failures[i] = f
 		return nil // a failed config degrades the sweep, it does not kill it
 	})
-
-	for _, r := range results {
-		if r != nil {
-			sweep.Results = append(sweep.Results, *r)
-		}
-	}
-	for _, f := range failures {
-		if f != nil {
-			sweep.Failures = append(sweep.Failures, f)
-		}
-	}
-	if err != nil {
-		return sweep, withCause(ctx, err)
-	}
-	if err := sweep.CheckConsistency(); err != nil {
-		return sweep, err
-	}
-	return sweep, nil
+	return finish(err)
 }
 
-// fusedPerConfigPass attempts every remaining configuration as one fused
-// replay sweep (panic-isolated). On success it commits each result —
-// checkpoint, results slot, OnResult — in input order and returns
-// done=true. A cancellation (or a checkpoint write error) aborts the
-// sweep; any other failure returns done=false and the caller falls back
-// to independent per-config runs.
-func fusedPerConfigPass(ctx context.Context, w *workloads.Workload, scale int, cfgs []cache.Config, todo []int, colName string, opts PerConfigSweepOpts, results []*ConfigResult) (done bool, err error) {
-	sub := make([]cache.Config, len(todo))
-	for k, i := range todo {
-		sub[k] = cfgs[i]
-	}
-	sw, rerr := runSweepIsolated(ctx, opts.TraceCache, w, scale, opts.MakeCollector(), sub)
-	if rerr != nil {
-		if ctx.Err() != nil || errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
-			return false, rerr
-		}
-		progress().Printf("fused sweep over %d configs failed, falling back to per-config runs: %v",
-			len(sub), rerr)
-		return false, nil
-	}
-	for _, i := range todo {
-		cfg := cfgs[i]
-		res := ConfigResult{
-			Config:     cfg,
-			CacheStats: sw.Stats[cfg],
-			Checksum:   sw.Run.Checksum,
-			Insns:      sw.Run.Insns,
-			GCInsns:    sw.Run.GCInsns,
-			GCStats:    sw.Run.GCStats,
-		}
-		if opts.Checkpoint != nil {
-			if cerr := opts.Checkpoint.Save(w.Name, scale, colName, res); cerr != nil {
-				return false, cerr
-			}
-		}
-		results[i] = &res
-		if opts.OnResult != nil {
-			opts.OnResult(res)
-		}
-	}
-	return true, nil
+// cancelled reports whether a run's error ends the sweep rather than
+// failing one configuration.
+func cancelled(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runSweepIsolated is RunSweep behind a panic barrier, so a simulator
-// crash during the fused pass degrades to the per-config fallback instead
-// of killing the job.
+// runSweepIsolated is RunSweep behind a panic barrier, so a crash in the
+// simulator (or a collector bug tripping the heap verifier's hard
+// assertions) burns one attempt, or sends the fused pass to its
+// per-config fallback, instead of killing the job.
 func runSweepIsolated(ctx context.Context, tc *TraceCache, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (sw *SweepResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,29 +234,6 @@ func runSweepIsolated(ctx context.Context, tc *TraceCache, w *workloads.Workload
 		}
 	}()
 	return runSweepWith(ctx, tc, w, scale, col, cfgs)
-}
-
-// runOneConfig performs one attempt, isolating panics so a crash in the
-// simulator (or a collector bug tripping the heap verifier's hard
-// assertions) burns only this attempt.
-func runOneConfig(ctx context.Context, tc *TraceCache, w *workloads.Workload, scale int, col gc.Collector, cfg cache.Config) (res ConfigResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: string(debug.Stack())}
-		}
-	}()
-	sw, err := runSweepWith(ctx, tc, w, scale, col, []cache.Config{cfg})
-	if err != nil {
-		return ConfigResult{}, err
-	}
-	return ConfigResult{
-		Config:     cfg,
-		CacheStats: sw.Stats[cfg],
-		Checksum:   sw.Run.Checksum,
-		Insns:      sw.Run.Insns,
-		GCInsns:    sw.Run.GCInsns,
-		GCStats:    sw.Run.GCStats,
-	}, nil
 }
 
 // CheckConsistency cross-checks the per-config runs: the VM is

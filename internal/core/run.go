@@ -254,6 +254,18 @@ type SweepResult struct {
 	Stats map[cache.Config]cache.Stats
 }
 
+// Result is cfg's outcome of the sweep in its per-config form.
+func (s *SweepResult) Result(cfg cache.Config) ConfigResult {
+	return ConfigResult{
+		Config:     cfg,
+		CacheStats: s.Stats[cfg],
+		Checksum:   s.Run.Checksum,
+		Insns:      s.Run.Insns,
+		GCInsns:    s.Run.GCInsns,
+		GCStats:    s.Run.GCStats,
+	}
+}
+
 // RunSweep runs a workload once against a bank with every given
 // configuration, simulated by the fused single-pass kernel: each chunk of
 // the reference stream is simulated against every configuration with no

@@ -2,10 +2,9 @@
 // It exists so every consumer of sweep results — gcsim's local paths, the
 // gcsimd server's /report endpoint, and gcsim's -remote client — formats
 // the same data through the same code and therefore produces byte-identical
-// text. The functions take plain stats (a run header plus rebuilt caches),
-// never live simulator objects, so a report can be rendered from a
-// checkpoint, a telemetry record, or a server response as easily as from a
-// just-finished run.
+// text. Every row is a per-config result (a configuration and its
+// statistics), never a live simulator object, so a report renders from a
+// checkpoint or a server response as easily as from a just-finished run.
 package report
 
 import (
@@ -13,6 +12,7 @@ import (
 	"io"
 
 	"gcsim/internal/cache"
+	"gcsim/internal/core"
 	"gcsim/internal/gc"
 )
 
@@ -27,30 +27,52 @@ type Run struct {
 	GCInsns   uint64 // I_gc
 }
 
-// CacheFor rebuilds a report-ready cache from a configuration and its
-// measured statistics (e.g. loaded from a checkpoint or a server result).
-func CacheFor(cfg cache.Config, s cache.Stats) *cache.Cache {
-	c := cache.New(cfg)
-	c.S = s
-	return c
+// Results prints the standard report for per-config results, as a
+// checkpointed or remote sweep holds them. The run header comes from the
+// first result, which every other one matches (see
+// core.PerConfigSweep.CheckConsistency). results must not be empty.
+func Results(out io.Writer, workload, collector string, results []core.ConfigResult, verbose bool) {
+	first := &results[0]
+	render(out, Run{
+		Name:      workload,
+		Collector: collector,
+		GCStats:   first.GCStats,
+		Checksum:  first.Checksum,
+		Insns:     first.Insns,
+		GCInsns:   first.GCInsns,
+	}, results, verbose)
 }
 
-// Render prints the standard report for a completed sweep: the full
-// single-configuration report when one cache was swept, otherwise the
-// sweep header followed by the per-configuration table.
+// Render prints the standard report for a completed sweep's caches.
 func Render(out io.Writer, run Run, caches []*cache.Cache, verbose bool) {
-	if len(caches) == 1 {
-		Single(out, run, caches[0], verbose)
+	render(out, run, Rows(caches), verbose)
+}
+
+// render prints the full single-configuration report when one
+// configuration was swept, otherwise the sweep header followed by the
+// per-configuration table.
+func render(out io.Writer, run Run, rows []core.ConfigResult, verbose bool) {
+	if len(rows) == 1 {
+		Single(out, run, &rows[0], verbose)
 		return
 	}
 	Header(out, run)
-	Table(out, caches, run.Insns, verbose)
+	Table(out, rows, run.Insns, verbose)
+}
+
+// Rows pairs each cache's configuration with its statistics: all of a
+// per-config result that a report row reads.
+func Rows(caches []*cache.Cache) []core.ConfigResult {
+	rows := make([]core.ConfigResult, len(caches))
+	for i, c := range caches {
+		rows[i] = core.ConfigResult{Config: c.Config(), CacheStats: c.S}
+	}
+	return rows
 }
 
 // Single prints the one-configuration report.
-func Single(out io.Writer, run Run, c *cache.Cache, verbose bool) {
-	cfg := c.Config()
-	s := &c.S
+func Single(out io.Writer, run Run, r *core.ConfigResult, verbose bool) {
+	cfg, s := r.Config, &r.CacheStats
 	fmt.Fprintf(out, "workload:    %s\n", run.Name)
 	fmt.Fprintf(out, "collector:   %s (%d collections, %d words copied)\n",
 		run.Collector, run.GCStats.Collections, run.GCStats.CopiedWords)
@@ -81,12 +103,11 @@ func Header(out io.Writer, run Run) {
 }
 
 // Table prints one row per swept configuration.
-func Table(out io.Writer, caches []*cache.Cache, insns uint64, verbose bool) {
+func Table(out io.Writer, rows []core.ConfigResult, insns uint64, verbose bool) {
 	fmt.Fprintf(out, "\n%-22s %12s %10s %12s %10s %10s\n",
 		"config", "misses", "ratio", "writebacks", "O(slow)", "O(fast)")
-	for _, c := range caches {
-		cfg := c.Config()
-		s := &c.S
+	for i := range rows {
+		cfg, s := rows[i].Config, &rows[i].CacheStats
 		fmt.Fprintf(out, "%-22s %12d %10.5f %12d %10.4f %10.4f\n",
 			cfg.String(), s.Misses(), s.MissRatio(), s.Writebacks,
 			cache.Slow.CacheOverhead(s.Misses(), insns, cfg.BlockBytes),

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/server"
 )
 
@@ -62,7 +63,7 @@ func quickSpec(priority string) server.JobSpec {
 		Scale:    1,
 		GC:       "none",
 		Priority: priority,
-		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"}},
+		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate}},
 	}
 }
 

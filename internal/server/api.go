@@ -17,7 +17,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"gcsim/internal/cache"
 	"gcsim/internal/core"
@@ -96,43 +95,16 @@ func PriorityName(class int) string {
 	return PriorityBatch
 }
 
-// CacheConfig is the wire form of one cache geometry. The policy travels
-// as its canonical name so job specs are readable and stable across
-// versions.
-type CacheConfig struct {
-	SizeBytes  int    `json:"size_bytes"`
-	BlockBytes int    `json:"block_bytes"`
-	Policy     string `json:"policy"` // "write-validate" or "fetch-on-write"
-}
+// CacheConfig is cache.Config, whose JSON form is the job API's. It and
+// ConfigFromCache stay only because bench/jobs.go names them.
+//
+// Deprecated: use cache.Config.
+type CacheConfig = cache.Config
 
-// ParsePolicy resolves a write-miss policy name.
-func ParsePolicy(name string) (cache.WritePolicy, error) {
-	switch strings.TrimSpace(name) {
-	case "write-validate":
-		return cache.WriteValidate, nil
-	case "fetch-on-write":
-		return cache.FetchOnWrite, nil
-	}
-	return 0, fmt.Errorf("server: unknown write policy %q", name)
-}
-
-// ToCache converts to the simulator's configuration, validating geometry.
-func (c CacheConfig) ToCache() (cache.Config, error) {
-	pol, err := ParsePolicy(c.Policy)
-	if err != nil {
-		return cache.Config{}, err
-	}
-	cfg := cache.Config{SizeBytes: c.SizeBytes, BlockBytes: c.BlockBytes, Policy: pol}
-	if err := cfg.Validate(); err != nil {
-		return cache.Config{}, err
-	}
-	return cfg, nil
-}
-
-// ConfigFromCache converts a simulator configuration to its wire form.
-func ConfigFromCache(cfg cache.Config) CacheConfig {
-	return CacheConfig{SizeBytes: cfg.SizeBytes, BlockBytes: cfg.BlockBytes, Policy: cfg.Policy.String()}
-}
+// ConfigFromCache returns cfg.
+//
+// Deprecated: a cache.Config is its own wire form.
+func ConfigFromCache(cfg cache.Config) CacheConfig { return cfg }
 
 // GCOptions is the wire form of gc.Options.
 type GCOptions struct {
@@ -150,11 +122,11 @@ func (o GCOptions) ToGC() gc.Options {
 // against every listed cache configuration. The configuration order is
 // preserved end to end, so the remote report's rows match a local sweep's.
 type JobSpec struct {
-	Workload  string        `json:"workload"`
-	Scale     int           `json:"scale,omitempty"` // 0 = the workload's default
-	GC        string        `json:"gc"`              // collector name ("none", "cheney", ...)
-	GCOptions GCOptions     `json:"gc_options"`
-	Configs   []CacheConfig `json:"configs"`
+	Workload  string         `json:"workload"`
+	Scale     int            `json:"scale,omitempty"` // 0 = the workload's default
+	GC        string         `json:"gc"`              // collector name ("none", "cheney", ...)
+	GCOptions GCOptions      `json:"gc_options"`
+	Configs   []cache.Config `json:"configs"`
 	// Retries re-attempts a failed configuration before recording it as a
 	// failure (0 = one attempt only).
 	Retries int `json:"retries,omitempty"`
@@ -190,52 +162,19 @@ func (s *JobSpec) Validate() error {
 	if _, err := PriorityClass(s.Priority); err != nil {
 		return err
 	}
-	for _, c := range s.Configs {
-		if _, err := c.ToCache(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.CacheConfigs()
+	return err
 }
 
-// CacheConfigs expands the wire configurations, preserving order.
+// CacheConfigs returns the configurations in order, each checked to be a
+// legal geometry. Their policies were checked when the spec was decoded.
 func (s *JobSpec) CacheConfigs() ([]cache.Config, error) {
-	out := make([]cache.Config, 0, len(s.Configs))
 	for _, c := range s.Configs {
-		cfg, err := c.ToCache()
-		if err != nil {
+		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		out = append(out, cfg)
 	}
-	return out, nil
-}
-
-// ConfigResult is the wire form of one completed configuration: exactly
-// what core.ConfigResult carries, which is exactly what the report needs.
-type ConfigResult struct {
-	Config         CacheConfig `json:"config"`
-	ConfigName     string      `json:"config_name"`
-	CacheStats     cache.Stats `json:"cache_stats"`
-	Checksum       int64       `json:"checksum"`
-	Insns          uint64      `json:"insns"`
-	GCInsns        uint64      `json:"gc_insns"`
-	GCStats        gc.Stats    `json:"gc_stats"`
-	FromCheckpoint bool        `json:"from_checkpoint,omitempty"`
-}
-
-// resultFromCore converts an engine result to its wire form.
-func resultFromCore(r core.ConfigResult) ConfigResult {
-	return ConfigResult{
-		Config:         ConfigFromCache(r.Config),
-		ConfigName:     r.Config.String(),
-		CacheStats:     r.CacheStats,
-		Checksum:       r.Checksum,
-		Insns:          r.Insns,
-		GCInsns:        r.GCInsns,
-		GCStats:        r.GCStats,
-		FromCheckpoint: r.FromCheckpoint,
-	}
+	return s.Configs, nil
 }
 
 // JobFailure is the wire form of one configuration that exhausted its
@@ -257,13 +196,13 @@ type Job struct {
 	Error  string  `json:"error,omitempty"`
 	// Collector is the resolved collector name (e.g. "cheney"), filled in
 	// when the job first runs.
-	Collector    string         `json:"collector,omitempty"`
-	SubmittedAt  string         `json:"submitted_at,omitempty"` // RFC 3339
-	FinishedAt   string         `json:"finished_at,omitempty"`  // RFC 3339
-	ConfigsDone  int            `json:"configs_done"`
-	ConfigsTotal int            `json:"configs_total"`
-	Results      []ConfigResult `json:"results,omitempty"`
-	Failures     []JobFailure   `json:"failures,omitempty"`
+	Collector    string              `json:"collector,omitempty"`
+	SubmittedAt  string              `json:"submitted_at,omitempty"` // RFC 3339
+	FinishedAt   string              `json:"finished_at,omitempty"`  // RFC 3339
+	ConfigsDone  int                 `json:"configs_done"`
+	ConfigsTotal int                 `json:"configs_total"`
+	Results      []core.ConfigResult `json:"results,omitempty"`
+	Failures     []JobFailure        `json:"failures,omitempty"`
 	// Tenant is the submitting tenant's name; Priority is the resolved
 	// scheduling class name (never empty once created).
 	Tenant   string `json:"tenant,omitempty"`
@@ -285,23 +224,7 @@ func (j *Job) RenderReport(out io.Writer, verbose bool) error {
 	if len(j.Results) == 0 {
 		return fmt.Errorf("server: job %s has no results to report (state %s)", j.ID, j.State)
 	}
-	caches := make([]*cache.Cache, 0, len(j.Results))
-	for _, r := range j.Results {
-		cfg, err := r.Config.ToCache()
-		if err != nil {
-			return err
-		}
-		caches = append(caches, report.CacheFor(cfg, r.CacheStats))
-	}
-	first := j.Results[0]
-	report.Render(out, report.Run{
-		Name:      j.Spec.Workload,
-		Collector: j.Collector,
-		GCStats:   first.GCStats,
-		Checksum:  first.Checksum,
-		Insns:     first.Insns,
-		GCInsns:   first.GCInsns,
-	}, caches, verbose)
+	report.Results(out, j.Spec.Workload, j.Collector, j.Results, verbose)
 	return nil
 }
 

@@ -407,14 +407,15 @@ var errWorkerLost = errors.New("server: worker lost mid-shard")
 // role: the job's identity plus the outcome slots, in input order, that
 // every node's shard fills through one commit path.
 type jobRun struct {
-	s       *Server
-	id      string
-	spec    JobSpec
-	w       *workloads.Workload
-	mkCol   func() gc.Collector
-	colName string
-	cfgs    []cache.Config
-	ck      *core.Checkpoint
+	s        *Server
+	id       string
+	spec     JobSpec
+	w        *workloads.Workload
+	mkCol    func() gc.Collector
+	colName  string
+	identity string // gc.Identity, the checkpoint's collector key
+	cfgs     []cache.Config
+	ck       *core.Checkpoint
 
 	scale    int
 	mu       sync.Mutex
@@ -440,7 +441,7 @@ func (jr *jobRun) run(ctx context.Context) (*core.PerConfigSweep, error) {
 	sweep := &core.PerConfigSweep{Workload: jr.w.Name, Scale: jr.scale, Collector: jr.colName}
 	var pending []int
 	for i, cfg := range jr.cfgs {
-		res, ok, err := jr.ck.Load(jr.w.Name, jr.scale, jr.colName, cfg)
+		res, ok, err := jr.ck.Load(jr.w.Name, jr.scale, jr.identity, cfg)
 		if err != nil {
 			return sweep, err
 		}
@@ -551,11 +552,7 @@ func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *cluster
 		return fmt.Errorf("%w: %s: %v", errWorkerLost, wk.name, err)
 	}
 	for _, r := range job.Results {
-		cr, err := resultToCore(r)
-		if err == nil {
-			err = jr.commit(shard, cr)
-		}
-		if err != nil {
+		if err := jr.commit(shard, r); err != nil {
 			return fmt.Errorf("server: shard on %s: %w", wk.name, err)
 		}
 	}
@@ -581,7 +578,7 @@ func (jr *jobRun) commit(shard []int, r core.ConfigResult) error {
 		return fmt.Errorf("returned %s, which was not dispatched", r.Config)
 	}
 	r.FromCheckpoint = false
-	if err := jr.ck.Save(jr.w.Name, jr.scale, jr.colName, r); err != nil {
+	if err := jr.ck.Save(jr.w.Name, jr.scale, jr.identity, r); err != nil {
 		return err
 	}
 	jr.results[i] = &r
@@ -647,22 +644,4 @@ func splitShards(indices []int, n int) [][]int {
 		shards = append(shards, indices[lo:hi])
 	}
 	return shards
-}
-
-// resultToCore is the inverse of resultFromCore: a worker's wire result
-// back into the engine form the coordinator checkpoints and reports.
-func resultToCore(r ConfigResult) (core.ConfigResult, error) {
-	cfg, err := r.Config.ToCache()
-	if err != nil {
-		return core.ConfigResult{}, err
-	}
-	return core.ConfigResult{
-		Config:         cfg,
-		CacheStats:     r.CacheStats,
-		Checksum:       r.Checksum,
-		Insns:          r.Insns,
-		GCInsns:        r.GCInsns,
-		GCStats:        r.GCStats,
-		FromCheckpoint: r.FromCheckpoint,
-	}, nil
 }

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/core"
 	"gcsim/internal/server"
 )
@@ -142,12 +143,12 @@ func clusterSpec() server.JobSpec {
 		Scale:    1,
 		GC:       "cheney",
 		Configs: []server.CacheConfig{
-			{SizeBytes: 16 << 10, BlockBytes: 16, Policy: "write-validate"},
-			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: "fetch-on-write"},
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 32 << 10, BlockBytes: 64, Policy: "fetch-on-write"},
-			{SizeBytes: 64 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "write-validate"},
+			{SizeBytes: 16 << 10, BlockBytes: 16, Policy: cache.WriteValidate},
+			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: cache.FetchOnWrite},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 32 << 10, BlockBytes: 64, Policy: cache.FetchOnWrite},
+			{SizeBytes: 64 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.WriteValidate},
 		},
 	}
 }

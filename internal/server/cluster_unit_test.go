@@ -138,24 +138,38 @@ func TestSplitShards(t *testing.T) {
 	}
 }
 
+// TestResultToCoreRoundTrip checks that a per-config result crosses the
+// wire (worker shard to coordinator) as core.ConfigResult's own JSON,
+// byte for byte, and that a result naming an unknown policy is refused.
 func TestResultToCoreRoundTrip(t *testing.T) {
-	cfg, err := cache.Config{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate}, error(nil)
+	in := core.ConfigResult{
+		Config:   cache.Config{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+		Checksum: 42, Insns: 100, GCInsns: 7, FromCheckpoint: true,
+	}
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.ConfigResult{Config: cfg, Checksum: 42, Insns: 100, GCInsns: 7, FromCheckpoint: true}
-	out, err := resultToCore(resultFromCore(in))
-	if err != nil {
+	const want = `{"config":{"size_bytes":32768,"block_bytes":32,"policy":"write-validate"},` +
+		`"cache_stats":{"Reads":0,"Writes":0,"ReadMisses":0,"WriteMisses":0,"WriteAllocs":0,` +
+		`"GCReads":0,"GCWrites":0,"GCReadMisses":0,"GCWriteMisses":0,"Writebacks":0,"GCWritebacks":0},` +
+		`"checksum":42,"insns":100,"gc_insns":7,"gc_stats":{` +
+		`"Collections":0,"MajorCollections":0,"CopiedObjects":0,"CopiedWords":0,` +
+		`"ScannedSlots":0,"BarrierChecks":0,"BarrierHits":0,"LiveAfterLast":0},"from_checkpoint":true}`
+	if string(data) != want {
+		t.Errorf("wire result:\n%s\nwant:\n%s", data, want)
+	}
+	var out core.ConfigResult
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip changed the result: %+v != %+v", out, in)
 	}
 
-	bad := resultFromCore(in)
-	bad.Config.Policy = "no-such-policy"
-	if _, err := resultToCore(bad); err == nil {
-		t.Fatal("resultToCore accepted an invalid wire config")
+	bad := strings.Replace(string(data), "write-validate", "no-such-policy", 1)
+	if err := json.Unmarshal([]byte(bad), &out); err == nil {
+		t.Fatal("decoding accepted an invalid wire config")
 	}
 }
 
@@ -272,8 +286,8 @@ func TestClusterShardFailuresReachTheJob(t *testing.T) {
 	defer coord.Close()
 
 	spec := JobSpec{Workload: "nbody", Scale: 1, GC: "none", Configs: []CacheConfig{
-		{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
-		{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"},
+		{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+		{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.FetchOnWrite},
 	}}
 	cfgs, err := spec.CacheConfigs()
 	if err != nil {
@@ -285,7 +299,7 @@ func TestClusterShardFailuresReachTheJob(t *testing.T) {
 	shard := Job{
 		Schema: JobSchema, ID: "jshard", State: StateFailed, Error: "1 of 2 configurations failed",
 		Collector: "none", ConfigsDone: 1, ConfigsTotal: 2,
-		Results:  []ConfigResult{resultFromCore(core.ConfigResult{Config: cfgs[0], Checksum: 7, Insns: 1000})},
+		Results:  []core.ConfigResult{{Config: cfgs[0], Checksum: 7, Insns: 1000}},
 		Failures: []JobFailure{{Config: cfgs[1].String(), Attempts: 1, Error: "simulator crashed"}},
 	}
 	mux := http.NewServeMux()

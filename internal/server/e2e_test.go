@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/core"
 	"gcsim/internal/gc"
 	"gcsim/internal/report"
@@ -106,9 +107,9 @@ func TestE2EReportByteIdenticalAndTraceCacheHits(t *testing.T) {
 		Scale:    1,
 		GC:       "cheney",
 		Configs: []server.CacheConfig{
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 16 << 10, BlockBytes: 16, Policy: "fetch-on-write"},
-			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "write-validate"},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 16 << 10, BlockBytes: 16, Policy: cache.FetchOnWrite},
+			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.WriteValidate},
 		},
 	}
 
@@ -211,9 +212,9 @@ func TestE2EDrainInterruptsAndRestartResumes(t *testing.T) {
 		Scale:    1200,
 		GC:       "cheney",
 		Configs: []server.CacheConfig{
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.FetchOnWrite},
 		},
 	}
 	job, err := cl1.Submit(ctx, spec)
@@ -325,7 +326,7 @@ func TestE2ECancelAndAPIErrors(t *testing.T) {
 		Workload: "nbody",
 		Scale:    1,
 		GC:       "none",
-		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"}},
+		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate}},
 	}
 	job, err := cl.Submit(ctx, spec)
 	if err != nil {
@@ -368,5 +369,15 @@ func TestE2ECancelAndAPIErrors(t *testing.T) {
 	}
 	if _, err := cl.Submit(ctx, server.JobSpec{Workload: "quux", Configs: spec.Configs}); err == nil {
 		t.Error("submitting an unknown workload succeeded")
+	}
+	// An unknown policy is refused while the spec is decoded.
+	resp, err = http.Post(cl.BaseURL+"/v1/jobs", "application/json", strings.NewReader(
+		`{"workload":"nbody","scale":1,"gc":"none","configs":[{"size_bytes":32768,"block_bytes":32,"policy":"write-sometimes"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submitting an unknown policy = %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/core"
 	"gcsim/internal/server"
 	"gcsim/internal/telemetry"
@@ -45,7 +46,7 @@ func smallSpec() server.JobSpec {
 		Scale:    1,
 		GC:       "cheney",
 		Configs: []server.CacheConfig{
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
 		},
 	}
 }

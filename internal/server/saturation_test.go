@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/core"
 	"gcsim/internal/server"
 )
@@ -38,9 +39,9 @@ func TestE2EPreemptionResumesByteIdentical(t *testing.T) {
 		GC:       "cheney",
 		Priority: server.PriorityBulk,
 		Configs: []server.CacheConfig{
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: "write-validate"},
-			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 16 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
+			{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.FetchOnWrite},
 		},
 	}
 	bulk, err := cl.Submit(ctx, bulkSpec)
@@ -77,7 +78,7 @@ func TestE2EPreemptionResumesByteIdentical(t *testing.T) {
 		Scale:    1,
 		GC:       "none",
 		Priority: server.PriorityInteractive,
-		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"}},
+		Configs:  []server.CacheConfig{{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate}},
 	}
 	inter, err := cl.Submit(ctx, interSpec)
 	if err != nil {

@@ -426,10 +426,8 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 		}
 		return col
 	}
-	colName := "none"
-	if col := mkCol(); col != nil {
-		colName = col.Name()
-	}
+	col := mkCol()
+	colName, identity := col.Name(), gc.Identity(col)
 
 	s.metrics.JobsRunning.Add(1)
 	s.metrics.WorkersBusy.Add(1)
@@ -461,7 +459,7 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 	sweepCtx, sweepSpan := rec.StartSpanAt(telemetry.ContextWithSpan(jctx, telemetry.SpanFromContext(sctx)), telemetry.StageSweep, sweepStart)
 	sweepSpan.SetAttr("configs", fmt.Sprint(len(cfgs)))
 
-	jr := &jobRun{s: s, id: id, spec: spec, w: w, mkCol: mkCol, colName: colName, cfgs: cfgs, ck: ck}
+	jr := &jobRun{s: s, id: id, spec: spec, w: w, mkCol: mkCol, colName: colName, identity: identity, cfgs: cfgs, ck: ck}
 	sweep, err := jr.run(sweepCtx)
 	finishStaged(sweepSpan, sweep, err)
 }
@@ -524,10 +522,7 @@ func (s *Server) finishJob(id string, sweep *core.PerConfigSweep, err error) (re
 		}
 		if sweep != nil {
 			j.Collector = sweep.Collector
-			j.Results = j.Results[:0]
-			for _, r := range sweep.Results {
-				j.Results = append(j.Results, resultFromCore(r))
-			}
+			j.Results = append(j.Results[:0], sweep.Results...)
 			j.Failures = j.Failures[:0]
 			for _, f := range sweep.Failures {
 				j.Failures = append(j.Failures, JobFailure{Config: f.Config, Attempts: f.Attempts, Error: f.Err.Error()})

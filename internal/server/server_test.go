@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/core"
+	"gcsim/internal/gc"
 	"gcsim/internal/telemetry"
 )
 
@@ -17,7 +20,7 @@ func validSpec() JobSpec {
 		Scale:    1,
 		GC:       "cheney",
 		Configs: []CacheConfig{
-			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: "write-validate"},
+			{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.WriteValidate},
 		},
 	}
 }
@@ -34,7 +37,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{"unknown workload", func(s *JobSpec) { s.Workload = "quux" }, "unknown workload"},
 		{"unknown collector", func(s *JobSpec) { s.GC = "epsilon" }, "unknown collector"},
 		{"no configs", func(s *JobSpec) { s.Configs = nil }, "no cache configurations"},
-		{"bad policy", func(s *JobSpec) { s.Configs[0].Policy = "write-sometimes" }, "unknown write policy"},
 		{"bad geometry", func(s *JobSpec) { s.Configs[0].SizeBytes = 3000 }, "not a positive power of two"},
 		{"negative retries", func(s *JobSpec) { s.Retries = -1 }, "retries"},
 	}
@@ -56,18 +58,77 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
+// TestCacheConfigRoundTrip pins a configuration's wire bytes, which name
+// the policy, and requires decoding to refuse an unknown policy.
 func TestCacheConfigRoundTrip(t *testing.T) {
-	for _, wire := range []CacheConfig{
-		{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "write-validate"},
-		{SizeBytes: 1 << 20, BlockBytes: 16, Policy: "fetch-on-write"},
+	for _, c := range []struct {
+		cfg  cache.Config
+		wire string
+	}{
+		{cache.Config{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.WriteValidate},
+			`{"size_bytes":65536,"block_bytes":64,"policy":"write-validate"}`},
+		{cache.Config{SizeBytes: 1 << 20, BlockBytes: 16, Policy: cache.FetchOnWrite},
+			`{"size_bytes":1048576,"block_bytes":16,"policy":"fetch-on-write"}`},
 	} {
-		cfg, err := wire.ToCache()
-		if err != nil {
-			t.Fatalf("ToCache(%+v): %v", wire, err)
+		data, err := json.Marshal(c.cfg)
+		if err != nil || string(data) != c.wire {
+			t.Errorf("encoding %v: %s (err %v), want %s", c.cfg, data, err, c.wire)
 		}
-		if got := ConfigFromCache(cfg); got != wire {
-			t.Errorf("round trip: %+v -> %+v", wire, got)
+		var back cache.Config
+		if err := json.Unmarshal([]byte(c.wire), &back); err != nil || back != c.cfg {
+			t.Errorf("decoding %s: %+v (err %v), want %+v", c.wire, back, err, c.cfg)
 		}
+	}
+	var bad cache.Config
+	err := json.Unmarshal([]byte(`{"size_bytes":32768,"block_bytes":32,"policy":"write-sometimes"}`), &bad)
+	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Errorf("decoding an unknown policy: %v, want an unknown-policy error", err)
+	}
+}
+
+// TestJobWireForm pins a job's JSON: its results are core.ConfigResult,
+// with the policy by name, from_checkpoint present when set, and no
+// config_name.
+func TestJobWireForm(t *testing.T) {
+	cfg := cache.Config{SizeBytes: 32 << 10, BlockBytes: 32, Policy: cache.FetchOnWrite}
+	j := Job{
+		Schema: JobSchema, ID: "j1", State: StateDone, Collector: "cheney",
+		Spec:        JobSpec{Workload: "nbody", Scale: 1, GC: "cheney", Configs: []cache.Config{cfg}},
+		ConfigsDone: 1, ConfigsTotal: 1,
+		Results: []core.ConfigResult{{
+			Config:         cfg,
+			CacheStats:     cache.Stats{Reads: 10, Writes: 4, ReadMisses: 3, GCReads: 2},
+			Checksum:       -5,
+			Insns:          100,
+			GCInsns:        7,
+			GCStats:        gc.Stats{Collections: 1, CopiedWords: 9},
+			FromCheckpoint: true,
+		}},
+	}
+	data, err := json.Marshal(&j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"schema":"gcsimd-job/v1","id":"j1",` +
+		`"spec":{"workload":"nbody","scale":1,"gc":"cheney","gc_options":{},` +
+		`"configs":[{"size_bytes":32768,"block_bytes":32,"policy":"fetch-on-write"}]},` +
+		`"state":"done","collector":"cheney","configs_done":1,"configs_total":1,` +
+		`"results":[{"config":{"size_bytes":32768,"block_bytes":32,"policy":"fetch-on-write"},` +
+		`"cache_stats":{"Reads":10,"Writes":4,"ReadMisses":3,"WriteMisses":0,"WriteAllocs":0,` +
+		`"GCReads":2,"GCWrites":0,"GCReadMisses":0,"GCWriteMisses":0,"Writebacks":0,"GCWritebacks":0},` +
+		`"checksum":-5,"insns":100,"gc_insns":7,` +
+		`"gc_stats":{"Collections":1,"MajorCollections":0,"CopiedObjects":0,"CopiedWords":9,` +
+		`"ScannedSlots":0,"BarrierChecks":0,"BarrierHits":0,"LiveAfterLast":0},` +
+		`"from_checkpoint":true}]}`
+	if string(data) != want {
+		t.Errorf("job JSON:\n%s\nwant:\n%s", data, want)
+	}
+	var back Job
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Results) != 1 || back.Results[0] != j.Results[0] || back.Spec.Configs[0] != cfg {
+		t.Errorf("decoded job = %+v, want %+v", back, j)
 	}
 }
 
@@ -245,7 +306,7 @@ func TestRequeuedJobRunsOnAnIdleWorker(t *testing.T) {
 	// from two engine goroutines at once.
 	spec := validSpec()
 	spec.Workload, spec.Scale = "tc", 1200
-	spec.Configs = append(spec.Configs, CacheConfig{SizeBytes: 64 << 10, BlockBytes: 64, Policy: "fetch-on-write"})
+	spec.Configs = append(spec.Configs, CacheConfig{SizeBytes: 64 << 10, BlockBytes: 64, Policy: cache.FetchOnWrite})
 	job, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)

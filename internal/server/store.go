@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -266,8 +267,8 @@ func (s *Store) persistLocked(j *Job) error {
 // store lock.
 func copyJob(j *Job) *Job {
 	out := *j
-	out.Spec.Configs = append([]CacheConfig(nil), j.Spec.Configs...)
-	out.Results = append([]ConfigResult(nil), j.Results...)
-	out.Failures = append([]JobFailure(nil), j.Failures...)
+	out.Spec.Configs = slices.Clone(j.Spec.Configs)
+	out.Results = slices.Clone(j.Results)
+	out.Failures = slices.Clone(j.Failures)
 	return &out
 }

@@ -161,12 +161,11 @@ type CacheRecord struct {
 	Snapshots    []SnapshotRecord  `json:"snapshots,omitempty"`
 }
 
-// CacheConfigRecord names one cache geometry.
+// CacheConfigRecord names one cache geometry: the configuration's own
+// JSON form after its name.
 type CacheConfigRecord struct {
-	Name       string `json:"name"` // e.g. "64k/64b/write-validate"
-	SizeBytes  int    `json:"size_bytes"`
-	BlockBytes int    `json:"block_bytes"`
-	Policy     string `json:"policy"`
+	Name string `json:"name"` // e.g. "64k/64b/write-validate"
+	cache.Config
 }
 
 // SnapshotRecord is one periodic cache sample: cumulative counters plus
@@ -187,12 +186,7 @@ func CacheRecordOf(c *cache.Cache, insns uint64) CacheRecord {
 	cfg := c.Config()
 	s := c.S
 	rec := CacheRecord{
-		Config: CacheConfigRecord{
-			Name:       cfg.String(),
-			SizeBytes:  cfg.SizeBytes,
-			BlockBytes: cfg.BlockBytes,
-			Policy:     cfg.Policy.String(),
-		},
+		Config:       CacheConfigRecord{Name: cfg.String(), Config: cfg},
 		Reads:        s.Reads,
 		Writes:       s.Writes,
 		Misses:       s.Misses(),
