@@ -296,6 +296,72 @@ func TestPerConfigSweepIsolatesPanics(t *testing.T) {
 	}
 }
 
+// TestPerConfigRunSlots pins, with no VM, how outcomes computed on other
+// nodes find their slots: a configuration listed twice in a shard fills
+// two slots, an outcome for a configuration the shard was not sent (or
+// whose slots are full) is refused and fills nothing, and Finish returns
+// results and failures in input order whatever the commit order.
+func TestPerConfigRunSlots(t *testing.T) {
+	a, b, c := faultConfigs()[0], faultConfigs()[1], faultConfigs()[2]
+	w := &workloads.Workload{Name: "synthetic", DefaultScale: 1}
+	announced := 0
+	run, err := OpenPerConfigRun(w, 0, []cache.Config{a, b, a, c}, PerConfigSweepOpts{
+		OnResult: func(ConfigResult) { announced++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := func(cfg cache.Config, reads uint64) ConfigResult {
+		return ConfigResult{Config: cfg, CacheStats: cache.Stats{Reads: reads}, Checksum: 42, Insns: 1000}
+	}
+	shardA, shardB := []int{0, 1, 2}, []int{3} // a, b, a | c
+
+	refused := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "was not dispatched") {
+			t.Errorf("err = %v, want \"was not dispatched\"", err)
+		}
+	}
+	// a and b have open slots, but not in shardB.
+	refused(run.Commit(shardB, result(b, 9)))
+	refused(run.Fail(shardB, a.String(), 1, errors.New("x")))
+
+	fromNode := result(b, 2)
+	fromNode.FromCheckpoint = true // the node resumed its own sub-job
+	for _, err := range []error{
+		run.Fail(shardB, c.String(), 2, errors.New("boom")),
+		run.Commit(shardA, fromNode),
+		run.Commit(shardA, result(a, 1)),
+		run.Commit(shardA, result(a, 3)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused(run.Commit(shardA, result(a, 9)))                 // both of a's slots are full
+	refused(run.Fail(shardB, c.String(), 1, errors.New("x"))) // c's one slot is full
+
+	sweep, err := run.Finish(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ConfigResult{result(a, 1), result(b, 2), result(a, 3)}
+	if len(sweep.Results) != len(want) {
+		t.Fatalf("%d results, want %d: %+v", len(sweep.Results), len(want), sweep.Results)
+	}
+	for i, r := range sweep.Results {
+		if r != want[i] {
+			t.Errorf("result %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+	if len(sweep.Failures) != 1 || sweep.Failures[0].Config != c.String() || sweep.Failures[0].Attempts != 2 {
+		t.Errorf("failures = %+v, want only %s after 2 attempts", sweep.Failures, c)
+	}
+	if announced != 3 {
+		t.Errorf("OnResult saw %d commits, want 3", announced)
+	}
+}
+
 // TestCheckpointResumeMatchesUninterrupted is the acceptance test for
 // resumable sweeps: interrupt a checkpointed per-config sweep after its
 // first configuration, resume it, and require results identical to an

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,8 +159,7 @@ func FusedStats() FusedReplayStats {
 
 // NewTraceCache opens (creating if needed) a directory-backed trace
 // cache: blobs under dir/blobs named by sha256, sidecars as
-// dir/<key>.json. Entries from the legacy flat layout (<key>.trace next
-// to the sidecar) are migrated in place.
+// dir/<key>.json.
 func NewTraceCache(dir string) (*TraceCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: trace cache: %w", err)
@@ -169,9 +167,6 @@ func NewTraceCache(dir string) (*TraceCache, error) {
 	blobs, err := castore.NewDir(filepath.Join(dir, "blobs"))
 	if err != nil {
 		return nil, fmt.Errorf("core: trace cache: %w", err)
-	}
-	if err := migrateLegacyTraces(dir, blobs); err != nil {
-		return nil, err
 	}
 	tc := NewTraceCacheWith(blobs, &dirTraceIndex{dir: dir})
 	tc.dir = dir
@@ -207,43 +202,6 @@ func (tc *TraceCache) Dir() string { return tc.dir }
 // node serves to its peers. Serving this (never the composed store)
 // keeps fleet-wide fetches loop-free.
 func (tc *TraceCache) LocalBlobs() castore.Store { return tc.local }
-
-// migrateLegacyTraces moves flat-layout entries (<key>.trace) into the
-// blob store under their recorded sha256. The sidecars stay where they
-// are; only the trace bytes move.
-func migrateLegacyTraces(dir string, blobs *castore.Dir) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("core: trace cache: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		var meta TraceMeta
-		if json.Unmarshal(data, &meta) != nil || meta.Schema != TraceMetaSchema {
-			continue
-		}
-		id, err := castore.ParseID(meta.SHA256)
-		if err != nil {
-			continue
-		}
-		key := strings.TrimSuffix(e.Name(), ".json")
-		tracePath := filepath.Join(dir, key+".trace")
-		if _, err := os.Stat(tracePath); err != nil {
-			continue // sidecar without trace: surfaces as an error on lookup, as before
-		}
-		dst := filepath.Join(blobs.Root(), id.String())
-		if err := os.Rename(tracePath, dst); err != nil {
-			return fmt.Errorf("core: trace cache: migrate %s: %w", tracePath, err)
-		}
-	}
-	return nil
-}
 
 // dirTraceIndex is the directory-backed index: one <key>.json sidecar
 // per entry, written atomically.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -17,8 +16,8 @@ import (
 )
 
 // Tests for the pluggable storage under the trace cache: backend
-// equivalence (dir vs mem vs COW compositions), legacy-layout
-// migration, and the cluster record-exactly-once claim protocol.
+// equivalence (dir vs mem vs COW compositions) and the cluster
+// record-exactly-once claim protocol.
 
 func traceTestWorkload(t *testing.T) *workloads.Workload {
 	t.Helper()
@@ -76,54 +75,6 @@ func TestTraceCacheBackendEquivalence(t *testing.T) {
 		if sw.Run.Checksum != ref.Run.Checksum || sw.Run.Insns != ref.Run.Insns {
 			t.Errorf("%s: run results differ across backends", name)
 		}
-	}
-}
-
-// TestTraceCacheLegacyMigration: a cache directory in the pre-castore
-// flat layout (<key>.trace beside <key>.json) is migrated on open and
-// replays without re-recording.
-func TestTraceCacheLegacyMigration(t *testing.T) {
-	w := traceTestWorkload(t)
-	cfgs := gcSweepConfigs()
-	setParallelismForTest(t, 1)
-	dir := filepath.Join(t.TempDir(), "traces")
-
-	tc, err := NewTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSweepWith(context.Background(), tc, w, w.SmallScale, gc.NewCheney(256<<10), cfgs); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := (&dirTraceIndex{dir: dir}).Load(traceKey(w.Name, w.SmallScale, gc.Identity(gc.NewCheney(256<<10))))
-	if err != nil || meta == nil {
-		t.Fatalf("no sidecar after recording: %v", err)
-	}
-
-	// Reconstruct the legacy layout: move the blob back to <key>.trace.
-	key := traceKey(w.Name, w.SmallScale, gc.Identity(gc.NewCheney(256<<10)))
-	blobPath := filepath.Join(dir, "blobs", meta.SHA256)
-	legacyPath := filepath.Join(dir, key+".trace")
-	if err := os.Rename(blobPath, legacyPath); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := NewTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(blobPath); err != nil {
-		t.Fatalf("legacy trace not migrated into blob store: %v", err)
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Fatalf("legacy trace file still present: %v", err)
-	}
-	if _, err := runSweepWith(context.Background(), migrated, w, w.SmallScale, gc.NewCheney(256<<10), cfgs); err != nil {
-		t.Fatal(err)
-	}
-	st := migrated.Stats()
-	if st.Hits != 1 || st.Recorded != 0 {
-		t.Errorf("migrated cache: hits=%d recorded=%d, want 1 hit and no re-recording", st.Hits, st.Recorded)
 	}
 }
 

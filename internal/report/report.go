@@ -29,8 +29,8 @@ type Run struct {
 
 // Results prints the standard report for per-config results, as a
 // checkpointed or remote sweep holds them. The run header comes from the
-// first result, which every other one matches (see
-// core.PerConfigSweep.CheckConsistency). results must not be empty.
+// first result, which every other one matches (core.PerConfigRun.Finish
+// checks it). results must not be empty.
 func Results(out io.Writer, workload, collector string, results []core.ConfigResult, verbose bool) {
 	first := &results[0]
 	render(out, Run{

@@ -404,79 +404,60 @@ func (s *Server) handleClusterBlob(w http.ResponseWriter, r *http.Request) {
 var errWorkerLost = errors.New("server: worker lost mid-shard")
 
 // jobRun is one run of a job's sweep, the one execution path for every
-// role: the job's identity plus the outcome slots, in input order, that
-// every node's shard fills through one commit path.
+// role. The engine's core.PerConfigRun owns the outcome slots and the
+// checkpoint; jobRun places the pending configurations on nodes and
+// announces each commit.
 type jobRun struct {
-	s        *Server
-	id       string
-	spec     JobSpec
-	w        *workloads.Workload
-	mkCol    func() gc.Collector
-	colName  string
-	identity string // gc.Identity, the checkpoint's collector key
-	cfgs     []cache.Config
-	ck       *core.Checkpoint
-
-	scale    int
-	mu       sync.Mutex
-	done     int // results committed by this run
-	results  []*core.ConfigResult
-	failures []*core.RunFailure
+	s    *Server
+	id   string
+	spec JobSpec
+	// done counts the committed configurations for the config events,
+	// starting from the ones the checkpoint held. After run sets it only
+	// announce writes it, and the engine never runs two announcements at
+	// once.
+	done int
 }
 
 // run executes the sweep. Configurations the job's checkpoint holds
-// reload with FromCheckpoint set; the pending rest is split contiguously
-// across the nodes — this process on a standalone or worker node (a
-// one-node cluster), the live registered workers on a coordinator.
-// Every result commits through jobRun.commit, and the assembled sweep
-// keeps input order and passes the engine's consistency check, so the
-// report is byte-identical whichever nodes ran it. A lost worker ends
-// the run with errWorkerLost.
-func (jr *jobRun) run(ctx context.Context) (*core.PerConfigSweep, error) {
-	if jr.scale = jr.spec.Scale; jr.scale == 0 {
-		jr.scale = jr.w.DefaultScale
+// reload with FromCheckpoint set; the pending rest run in this process
+// on a standalone or worker node, or are split contiguously across the
+// live registered workers on a coordinator. Every outcome commits through
+// the engine's run, which assembles the sweep in input order and checks
+// its consistency, so the report is byte-identical whichever nodes ran
+// it. A lost worker ends the run with errWorkerLost.
+func (jr *jobRun) run(ctx context.Context, w *workloads.Workload, cfgs []cache.Config, mkCol func() gc.Collector, ck *core.Checkpoint) (*core.PerConfigSweep, error) {
+	sw, err := core.OpenPerConfigRun(w, jr.spec.Scale, cfgs, core.PerConfigSweepOpts{
+		MakeCollector: mkCol,
+		Retries:       jr.spec.Retries,
+		Checkpoint:    ck,
+		Resume:        true,
+		OnResult:      jr.announce,
+		// This node's own cache, not the process global: several
+		// cluster nodes can share one process (tests do), each with
+		// its own store. Nil falls back to the global.
+		TraceCache: jr.s.cfg.TraceCache,
+	})
+	if err == nil {
+		jr.done = len(cfgs) - len(sw.Pending())
+		err = jr.dispatch(ctx, sw)
 	}
-	jr.results = make([]*core.ConfigResult, len(jr.cfgs))
-	jr.failures = make([]*core.RunFailure, len(jr.cfgs))
-	sweep := &core.PerConfigSweep{Workload: jr.w.Name, Scale: jr.scale, Collector: jr.colName}
-	var pending []int
-	for i, cfg := range jr.cfgs {
-		res, ok, err := jr.ck.Load(jr.w.Name, jr.scale, jr.identity, cfg)
-		if err != nil {
-			return sweep, err
-		}
-		if ok {
-			jr.results[i] = &res
-		} else {
-			pending = append(pending, i)
-		}
-	}
-
-	err := jr.dispatch(ctx, pending)
-	for i := range jr.cfgs {
-		if r := jr.results[i]; r != nil {
-			sweep.Results = append(sweep.Results, *r)
-		}
-		if f := jr.failures[i]; f != nil {
-			sweep.Failures = append(sweep.Failures, f)
-		}
-	}
-	if err != nil {
-		return sweep, err
-	}
-	return sweep, sweep.CheckConsistency()
+	return sw.Finish(ctx, err)
 }
 
-// dispatch runs the pending configurations, one shard per node, and
-// joins the shards' errors once every shard is back.
-func (jr *jobRun) dispatch(ctx context.Context, pending []int) error {
-	nodes := []*clusterWorker{nil} // nil: this process
-	if jr.s.cluster != nil && len(pending) > 0 {
-		alive, err := jr.s.waitForWorkers(ctx)
-		if err != nil {
-			return err
-		}
-		nodes = alive
+// dispatch runs the pending configurations: in this process, or on a
+// coordinator one shard per live worker, joining the shards' errors once
+// every shard is back.
+func (jr *jobRun) dispatch(ctx context.Context, sw *core.PerConfigRun) error {
+	pending := sw.Pending()
+	if jr.s.cluster == nil {
+		return sw.Run(ctx, pending)
+	}
+	if len(pending) == 0 {
+		return nil
+	}
+	nodes, err := jr.s.waitForWorkers(ctx)
+	if err != nil {
+		return err
 	}
 	shards := splitShards(pending, len(nodes))
 	errs := make([]error, len(shards))
@@ -485,53 +466,19 @@ func (jr *jobRun) dispatch(ctx context.Context, pending []int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if nodes[k] == nil {
-				errs[k] = jr.runLocal(ctx, shard)
-			} else {
-				errs[k] = jr.runRemote(ctx, k, shard, nodes[k])
-			}
+			errs[k] = jr.runRemote(ctx, sw, k, shard, nodes[k])
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// runLocal runs a shard in this process through the engine's resilient
-// per-config sweep. The engine gets no checkpoint: run already loaded it
-// and commit saves each result, so the checkpoint I/O is one Load per
-// configuration and one Save per computed result.
-func (jr *jobRun) runLocal(ctx context.Context, shard []int) error {
-	sub := make([]cache.Config, len(shard))
-	for k, i := range shard {
-		sub[k] = jr.cfgs[i]
-	}
-	var commitErr error
-	var once sync.Once
-	sw, err := core.RunSweepPerConfig(ctx, jr.w, jr.scale, sub, core.PerConfigSweepOpts{
-		MakeCollector: jr.mkCol,
-		Retries:       jr.spec.Retries,
-		OnResult: func(r core.ConfigResult) {
-			if err := jr.commit(shard, r); err != nil {
-				once.Do(func() { commitErr = err })
-			}
-		},
-		// This node's own cache, not the process global: several
-		// cluster nodes can share one process (tests do), each with
-		// its own store. Nil falls back to the global, as before.
-		TraceCache: jr.s.cfg.TraceCache,
-	})
-	for _, f := range sw.Failures {
-		err = errors.Join(err, jr.fail(shard, f))
-	}
-	return errors.Join(commitErr, err)
-}
-
 // runRemote dispatches a shard to a worker as a sub-job and commits what
-// it returns through the same path as a local shard. A transport failure
-// marks the worker dead and ends the run with errWorkerLost. A shard the
-// worker failed without accounting for every configuration fails the
-// job: it would fail anywhere.
-func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *clusterWorker) error {
+// it returns into the shard's slots. A transport failure marks the worker
+// dead and ends the run with errWorkerLost. A shard the worker failed
+// without accounting for every configuration fails the job: it would fail
+// anywhere.
+func (jr *jobRun) runRemote(ctx context.Context, sw *core.PerConfigRun, k int, shard []int, wk *clusterWorker) error {
 	cs, sub := jr.s.cluster, jr.spec
 	sub.Label = fmt.Sprintf("%s/shard-%d", sub.Label, k)
 	sub.Configs = nil
@@ -542,9 +489,9 @@ func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *cluster
 	job, err := wk.client.Run(ctx, sub, nil)
 	switch {
 	case err != nil && ctx.Err() != nil:
-		// Cancellation (drain, API cancel, preemption): surface it with
-		// the cause so finishJob classifies it as it would a local one.
-		return core.WithCause(ctx, err)
+		// Cancellation (drain, API cancel, preemption): Finish folds in
+		// the cause, so finishJob classifies it as it would a local one.
+		return err
 	case err != nil:
 		cs.markDead(wk.name)
 		cs.reshards.Add(1)
@@ -552,13 +499,12 @@ func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *cluster
 		return fmt.Errorf("%w: %s: %v", errWorkerLost, wk.name, err)
 	}
 	for _, r := range job.Results {
-		if err := jr.commit(shard, r); err != nil {
+		if err := sw.Commit(shard, r); err != nil {
 			return fmt.Errorf("server: shard on %s: %w", wk.name, err)
 		}
 	}
 	for _, f := range job.Failures {
-		rf := &core.RunFailure{Workload: jr.w.Name, Collector: jr.colName, Config: f.Config, Attempts: f.Attempts, Err: errors.New(f.Error)}
-		if err := jr.fail(shard, rf); err != nil {
+		if err := sw.Fail(shard, f.Config, f.Attempts, errors.New(f.Error)); err != nil {
 			return fmt.Errorf("server: shard on %s: %w", wk.name, err)
 		}
 	}
@@ -568,48 +514,13 @@ func (jr *jobRun) runRemote(ctx context.Context, k int, shard []int, wk *cluster
 	return nil
 }
 
-// commit is the one path a computed result takes, whichever node ran it:
-// checkpointed, placed in its input-order slot, and announced.
-func (jr *jobRun) commit(shard []int, r core.ConfigResult) error {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	i, ok := jr.slot(shard, r.Config.String())
-	if !ok {
-		return fmt.Errorf("returned %s, which was not dispatched", r.Config)
-	}
-	r.FromCheckpoint = false
-	if err := jr.ck.Save(jr.w.Name, jr.scale, jr.identity, r); err != nil {
-		return err
-	}
-	jr.results[i] = &r
+// announce is the run's OnResult: it counts a computed result in the
+// metrics and publishes its config event.
+func (jr *jobRun) announce(r core.ConfigResult) {
 	jr.done++
 	jr.s.metrics.ConfigsCompleted.Add(1)
 	jr.s.metrics.RefsReplayed.Add(r.CacheStats.Refs() + r.CacheStats.GCReads + r.CacheStats.GCWrites)
-	jr.s.hub.publish(Event{Type: "config", Job: jr.id, Config: r.Config.String(), Done: jr.done, Total: len(jr.cfgs)})
-	return nil
-}
-
-// fail records a configuration that exhausted its retry budget.
-func (jr *jobRun) fail(shard []int, f *core.RunFailure) error {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	i, ok := jr.slot(shard, f.Config)
-	if !ok {
-		return fmt.Errorf("reported %s failed, which was not dispatched", f.Config)
-	}
-	jr.failures[i] = f
-	return nil
-}
-
-// slot finds the first configuration of shard named cfg that has no
-// outcome yet, so duplicate configurations each get their own slot.
-func (jr *jobRun) slot(shard []int, cfg string) (int, bool) {
-	for _, i := range shard {
-		if jr.results[i] == nil && jr.failures[i] == nil && jr.cfgs[i].String() == cfg {
-			return i, true
-		}
-	}
-	return 0, false
+	jr.s.hub.publish(Event{Type: "config", Job: jr.id, Config: r.Config.String(), Done: jr.done, Total: len(jr.spec.Configs)})
 }
 
 // waitForWorkers returns the live workers, waiting (bounded) for the

@@ -12,50 +12,35 @@ import (
 // rather than block a worker on a slow reader — but a terminal state
 // event is never dropped: termination is signalled by closing the
 // subscriber channels, which no backlog can delay. Every dropped line is
-// charged to the subscriber that fell behind and surfaced through the
-// dropped hook (gcsimd_sse_dropped_total{reason=...}), so shedding is
-// attributable instead of silent.
+// counted through the dropped hook (gcsimd_sse_dropped_total), so
+// shedding is visible instead of silent.
 type eventHub struct {
 	// observe, when non-nil, is called with each publish's fan-out
 	// duration — how long delivering the event to every subscriber took.
 	// It feeds the gcsimd_fanout_seconds histogram.
 	observe func(time.Duration)
-	// dropped, when non-nil, is called whenever events are dropped, with
-	// the reason label and the count.
-	dropped func(reason string, n uint64)
+	// dropped, when non-nil, is called with the count whenever events
+	// are dropped because a per-job subscriber's buffer was full.
+	dropped func(n uint64)
 
 	mu     sync.Mutex
 	events map[string][]Event
-	subs   map[string]map[int]*hubSub
+	subs   map[string]map[int]chan Event // per-job subscribers by ID
 	closed map[string]bool
 	nextID int
 }
-
-// hubSub is one per-job subscriber: its channel and how many events it
-// has personally lost to backpressure.
-type hubSub struct {
-	ch      chan Event
-	dropped uint64
-}
-
-// DropSlowSubscriber is the `reason` label on gcsimd_sse_dropped_total
-// for an event dropped because a per-job subscriber's buffer was full.
-const DropSlowSubscriber = "slow_subscriber"
-
-// dropReasons fixes the exposition order of the reason label.
-var dropReasons = []string{DropSlowSubscriber}
 
 // subChanCap bounds each subscriber's in-flight buffer. A sweep emits one
 // event per configuration, so 256 covers any realistic job with room to
 // spare; a reader further behind than that loses progress lines only.
 const subChanCap = 256
 
-func newEventHub(observe func(time.Duration), dropped func(reason string, n uint64)) *eventHub {
+func newEventHub(observe func(time.Duration), dropped func(n uint64)) *eventHub {
 	return &eventHub{
 		observe: observe,
 		dropped: dropped,
 		events:  make(map[string][]Event),
-		subs:    make(map[string]map[int]*hubSub),
+		subs:    make(map[string]map[int]chan Event),
 		closed:  make(map[string]bool),
 	}
 }
@@ -74,21 +59,20 @@ func (h *eventHub) publish(e Event) {
 	h.events[e.Job] = append(h.events[e.Job], e)
 	terminal := e.Type == "state" && TerminalState(e.State)
 	var slow uint64
-	for _, sub := range h.subs[e.Job] {
+	for _, ch := range h.subs[e.Job] {
 		select {
-		case sub.ch <- e:
+		case ch <- e:
 		default: // slow reader: drop the progress line, never block a worker
-			sub.dropped++
 			slow++
 		}
 	}
 	if slow > 0 && h.dropped != nil {
-		h.dropped(DropSlowSubscriber, slow)
+		h.dropped(slow)
 	}
 	if terminal {
 		h.closed[e.Job] = true
-		for _, sub := range h.subs[e.Job] {
-			close(sub.ch)
+		for _, ch := range h.subs[e.Job] {
+			close(ch)
 		}
 		delete(h.subs, e.Job)
 	}
@@ -108,24 +92,24 @@ func (h *eventHub) subscribe(jobID string) (replay []Event, ch chan Event, cance
 	if h.closed[jobID] {
 		return replay, nil, func() {}
 	}
-	sub := &hubSub{ch: make(chan Event, subChanCap)}
+	ch = make(chan Event, subChanCap)
 	id := h.nextID
 	h.nextID++
 	if h.subs[jobID] == nil {
-		h.subs[jobID] = make(map[int]*hubSub)
+		h.subs[jobID] = make(map[int]chan Event)
 	}
-	h.subs[jobID][id] = sub
+	h.subs[jobID][id] = ch
 	cancel = func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if subs, ok := h.subs[jobID]; ok {
 			if _, live := subs[id]; live {
 				delete(subs, id)
-				close(sub.ch)
+				close(ch)
 			}
 		}
 	}
-	return replay, sub.ch, cancel
+	return replay, ch, cancel
 }
 
 // seed records history for a job the hub has never seen (a job loaded

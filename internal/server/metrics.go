@@ -36,9 +36,9 @@ type Metrics struct {
 	// to free a worker for higher-priority work.
 	ShedTotal        atomic.Uint64
 	PreemptionsTotal atomic.Uint64
-	// SSEDropped counts events dropped by the hub, per reason (fixed
-	// keys, allocated up front, so the hub's hook is lock-free).
-	SSEDropped map[string]*atomic.Uint64
+	// SSEDropped counts events the hub dropped because a per-job
+	// subscriber's buffer was full.
+	SSEDropped atomic.Uint64
 
 	// JobSeconds observes whole-job wall time (enqueue to terminal state
 	// persisted) and QueueSeconds the enqueue-to-pickup wait — the two
@@ -69,10 +69,6 @@ func NewMetrics(workers int) *Metrics {
 		QueueSeconds:  telemetry.NewHistogram(),
 		StageSeconds:  make(map[string]*telemetry.Histogram, len(telemetry.Stages)),
 		FanoutSeconds: telemetry.NewHistogram(fanoutBuckets...),
-		SSEDropped:    make(map[string]*atomic.Uint64, len(dropReasons)),
-	}
-	for _, reason := range dropReasons {
-		m.SSEDropped[reason] = new(atomic.Uint64)
 	}
 	// One fixed series per stage, allocated up front: scrapes and the
 	// OnEnd hook then only ever read the map, so no lock is needed.
@@ -101,13 +97,8 @@ func (m *Metrics) ObserveSpan(sp telemetry.Span) {
 	}
 }
 
-// DropEvent is the event hub's drop hook: it charges n dropped events to
-// the reason's counter.
-func (m *Metrics) DropEvent(reason string, n uint64) {
-	if c := m.SSEDropped[reason]; c != nil {
-		c.Add(n)
-	}
-}
+// DropEvent is the event hub's drop hook: it counts n dropped events.
+func (m *Metrics) DropEvent(n uint64) { m.SSEDropped.Add(n) }
 
 // metricRow is one exposition line with its metadata.
 type metricRow struct {
@@ -153,10 +144,9 @@ func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenant
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", r.name, r.help, r.name, r.kind, r.name, r.value)
 	}
 
-	fmt.Fprintf(w, "# HELP gcsimd_sse_dropped_total Events dropped by the hub, by reason (slow_subscriber: a per-job reader's buffer was full).\n# TYPE gcsimd_sse_dropped_total counter\n")
-	for _, reason := range dropReasons {
-		fmt.Fprintf(w, "gcsimd_sse_dropped_total{reason=%q} %d\n", reason, m.SSEDropped[reason].Load())
-	}
+	writeFamily(w, "gcsimd_sse_dropped_total", "counter",
+		"Events dropped by the hub, by reason (slow_subscriber: a per-job reader's buffer was full).",
+		series{`reason="slow_subscriber"`, m.SSEDropped.Load()})
 
 	if len(tenants) > 0 {
 		writeTenantMetrics(w, tenants)
@@ -166,22 +156,21 @@ func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenant
 	}
 
 	writeHistogram(w, "gcsimd_job_seconds",
-		"Job wall time from enqueue to terminal state persisted.", "", m.JobSeconds)
+		"Job wall time from enqueue to terminal state persisted.", m.JobSeconds)
 	writeHistogram(w, "gcsimd_queue_seconds",
-		"Job wait from enqueue to worker pickup.", "", m.QueueSeconds)
+		"Job wait from enqueue to worker pickup.", m.QueueSeconds)
 	writeHistogram(w, "gcsimd_fanout_seconds",
-		"Event hub per-publish fan-out delivery time.", "", m.FanoutSeconds)
+		"Event hub per-publish fan-out delivery time.", m.FanoutSeconds)
 
-	// The stage family: one labelled series per lifecycle stage, HELP and
-	// TYPE once, stages in deterministic order.
+	// The stage family: one labelled series per lifecycle stage, stages
+	// in deterministic order.
 	stages := make([]string, 0, len(m.StageSeconds))
 	for stage := range m.StageSeconds {
 		stages = append(stages, stage)
 	}
 	sort.Strings(stages)
-	for i, stage := range stages {
-		writeHistogramHeader(w, "gcsimd_stage_seconds",
-			"Per-stage duration of job lifecycle spans, by stage name.", i == 0)
+	writeFamily(w, "gcsimd_stage_seconds", "histogram", "Per-stage duration of job lifecycle spans, by stage name.")
+	for _, stage := range stages {
 		writeHistogramSeries(w, "gcsimd_stage_seconds", `stage="`+stage+`"`, m.StageSeconds[stage])
 	}
 }
@@ -208,52 +197,56 @@ func writeClusterMetrics(w io.Writer, cs *clusterState, selfRecorded, selfFetche
 	for _, r := range rows {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", r.name, r.help, r.name, r.kind, r.name, r.value)
 	}
-	views := cs.views()
-	fmt.Fprintf(w, "# HELP gcsimd_cluster_node_trace_recorded_total Traces recorded per worker (heartbeat-reported).\n# TYPE gcsimd_cluster_node_trace_recorded_total counter\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "gcsimd_cluster_node_trace_recorded_total{node=%q} %d\n", v.Name, v.Stats.TraceRecorded)
+	var recorded, fetches []series
+	for _, v := range cs.views() {
+		node := fmt.Sprintf("node=%q", v.Name)
+		recorded = append(recorded, series{node, v.Stats.TraceRecorded})
+		fetches = append(fetches, series{node, v.Stats.RemoteFetches})
 	}
-	fmt.Fprintf(w, "# HELP gcsimd_cluster_node_remote_fetches_total Cross-node trace fetches per worker (heartbeat-reported).\n# TYPE gcsimd_cluster_node_remote_fetches_total counter\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "gcsimd_cluster_node_remote_fetches_total{node=%q} %d\n", v.Name, v.Stats.RemoteFetches)
-	}
+	writeFamily(w, "gcsimd_cluster_node_trace_recorded_total", "counter", "Traces recorded per worker (heartbeat-reported).", recorded...)
+	writeFamily(w, "gcsimd_cluster_node_remote_fetches_total", "counter", "Cross-node trace fetches per worker (heartbeat-reported).", fetches...)
 }
 
 // writeTenantMetrics emits the per-tenant families, one labelled series
 // per tenant (and per rejection reason), tenants in name order so
 // scrapes diff cleanly.
 func writeTenantMetrics(w io.Writer, stats []TenantStats) {
-	fmt.Fprintf(w, "# HELP gcsimd_tenant_jobs_submitted_total Jobs accepted per tenant.\n# TYPE gcsimd_tenant_jobs_submitted_total counter\n")
+	var submitted, rejected, queued, running []series
 	for _, s := range stats {
-		fmt.Fprintf(w, "gcsimd_tenant_jobs_submitted_total{tenant=%q} %d\n", s.Name, s.Submitted)
-	}
-	fmt.Fprintf(w, "# HELP gcsimd_tenant_rejected_total Submissions rejected per tenant, by reason.\n# TYPE gcsimd_tenant_rejected_total counter\n")
-	for _, s := range stats {
+		tenant := fmt.Sprintf("tenant=%q", s.Name)
+		submitted = append(submitted, series{tenant, s.Submitted})
 		for _, reason := range rejectReasons {
-			fmt.Fprintf(w, "gcsimd_tenant_rejected_total{tenant=%q,reason=%q} %d\n", s.Name, reason, s.Rejected[reason])
+			rejected = append(rejected, series{fmt.Sprintf("%s,reason=%q", tenant, reason), s.Rejected[reason]})
 		}
+		queued = append(queued, series{tenant, uint64(s.Queued)})
+		running = append(running, series{tenant, uint64(s.Running)})
 	}
-	fmt.Fprintf(w, "# HELP gcsimd_tenant_jobs_queued Jobs waiting for a worker, per tenant.\n# TYPE gcsimd_tenant_jobs_queued gauge\n")
-	for _, s := range stats {
-		fmt.Fprintf(w, "gcsimd_tenant_jobs_queued{tenant=%q} %d\n", s.Name, s.Queued)
-	}
-	fmt.Fprintf(w, "# HELP gcsimd_tenant_jobs_running Jobs executing right now, per tenant.\n# TYPE gcsimd_tenant_jobs_running gauge\n")
-	for _, s := range stats {
-		fmt.Fprintf(w, "gcsimd_tenant_jobs_running{tenant=%q} %d\n", s.Name, s.Running)
+	writeFamily(w, "gcsimd_tenant_jobs_submitted_total", "counter", "Jobs accepted per tenant.", submitted...)
+	writeFamily(w, "gcsimd_tenant_rejected_total", "counter", "Submissions rejected per tenant, by reason.", rejected...)
+	writeFamily(w, "gcsimd_tenant_jobs_queued", "gauge", "Jobs waiting for a worker, per tenant.", queued...)
+	writeFamily(w, "gcsimd_tenant_jobs_running", "gauge", "Jobs executing right now, per tenant.", running...)
+}
+
+// series is one sample of a labelled family.
+type series struct {
+	labels string // e.g. `tenant="acme",reason="quota"`
+	value  uint64
+}
+
+// writeFamily writes a labelled family: HELP and TYPE once, then one
+// sample per series. A histogram family passes no series and writes each
+// of its own with writeHistogramSeries.
+func writeFamily(w io.Writer, name, kind, help string, rows ...series) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s{%s} %d\n", name, r.labels, r.value)
 	}
 }
 
 // writeHistogram emits one complete unlabelled histogram family.
-func writeHistogram(w io.Writer, name, help, labels string, h *telemetry.Histogram) {
-	writeHistogramHeader(w, name, help, true)
-	writeHistogramSeries(w, name, labels, h)
-}
-
-func writeHistogramHeader(w io.Writer, name, help string, write bool) {
-	if !write {
-		return
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+func writeHistogram(w io.Writer, name, help string, h *telemetry.Histogram) {
+	writeFamily(w, name, "histogram", help)
+	writeHistogramSeries(w, name, "", h)
 }
 
 // writeHistogramSeries emits the _bucket/_sum/_count rows of one series.

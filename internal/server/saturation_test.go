@@ -93,6 +93,7 @@ func TestE2EPreemptionResumesByteIdentical(t *testing.T) {
 		t.Fatal("bulk job did not reach a terminal state before the deadline")
 	}
 	var sawPreempted, sawRequeue bool
+	var done []int // each config event's Done, in stream order
 drain:
 	for {
 		select {
@@ -103,12 +104,24 @@ drain:
 			if sawPreempted && e.Type == "state" && e.State == server.StateQueued {
 				sawRequeue = true
 			}
+			if e.Type == "config" {
+				done = append(done, e.Done)
+			}
 		default:
 			break drain
 		}
 	}
 	if !sawPreempted || !sawRequeue {
 		t.Errorf("bulk stream missed the preemption (preempted=%v requeued=%v)", sawPreempted, sawRequeue)
+	}
+	// The resumed run counts what its checkpoint holds, so progress
+	// rises across the preemption to the total.
+	rising := len(done) > 0 && done[len(done)-1] == len(bulkSpec.Configs)
+	for i := 1; i < len(done); i++ {
+		rising = rising && done[i] > done[i-1]
+	}
+	if !rising {
+		t.Errorf("config events' Done = %v, want strictly rising to %d", done, len(bulkSpec.Configs))
 	}
 
 	final, err := cl.Job(ctx, bulk.ID)

@@ -426,8 +426,7 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 		}
 		return col
 	}
-	col := mkCol()
-	colName, identity := col.Name(), gc.Identity(col)
+	colName := mkCol().Name()
 
 	s.metrics.JobsRunning.Add(1)
 	s.metrics.WorkersBusy.Add(1)
@@ -459,8 +458,8 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 	sweepCtx, sweepSpan := rec.StartSpanAt(telemetry.ContextWithSpan(jctx, telemetry.SpanFromContext(sctx)), telemetry.StageSweep, sweepStart)
 	sweepSpan.SetAttr("configs", fmt.Sprint(len(cfgs)))
 
-	jr := &jobRun{s: s, id: id, spec: spec, w: w, mkCol: mkCol, colName: colName, identity: identity, cfgs: cfgs, ck: ck}
-	sweep, err := jr.run(sweepCtx)
+	jr := &jobRun{s: s, id: id, spec: spec}
+	sweep, err := jr.run(sweepCtx, w, cfgs, mkCol, ck)
 	finishStaged(sweepSpan, sweep, err)
 }
 

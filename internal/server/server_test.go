@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -275,6 +278,42 @@ func TestMetricsText(t *testing.T) {
 	m.WriteText(&sb, nil, 0, nil, nil)
 	if !strings.Contains(sb.String(), "gcsimd_trace_cache_hits_total 0") {
 		t.Error("nil trace cache dropped the hit counter")
+	}
+
+	// Two tenants and a coordinator with one live and one dead worker:
+	// the whole page must match testdata/metrics.txt byte for byte. The
+	// fused-replay counters are process-wide, so other tests' sweeps move
+	// them; the golden holds them at zero.
+	m.DropEvent(7)
+	m.ObserveSpan(telemetry.Span{Name: telemetry.StageJob, DurationNanos: 2_500_000_000})
+	m.ObserveSpan(telemetry.Span{Name: telemetry.StageSweep, DurationNanos: 1_500_000_000})
+	cs := newClusterState(time.Hour)
+	cs.hello(workerHello{Name: "w2", URL: "http://w2.invalid", Stats: workerStats{TraceRecorded: 1, RemoteFetches: 4}})
+	cs.hello(workerHello{Name: "w1", URL: "http://w1.invalid", Stats: workerStats{TraceRecorded: 2_000_000, RemoteFetches: 3}})
+	cs.markDead("w2")
+	cs.shardsDispatched.Add(6)
+	cs.reshards.Add(1)
+	cs.claims.Add(2)
+	cs.publishes.Add(2)
+	cs.blobReplications.Add(1)
+	cs.blobFanout.Add(5)
+	tenants := []TenantStats{
+		{Name: "acme", Submitted: 1_234_567, Rejected: map[string]uint64{RejectOverload: 2, RejectQuota: 1}, Queued: 3, Running: 1},
+		{Name: "beta", Rejected: map[string]uint64{}},
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := core.FusedStats()
+	want := strings.NewReplacer(
+		"gcsimd_fused_sweeps_total 0\n", fmt.Sprintf("gcsimd_fused_sweeps_total %g\n", float64(fused.FusedSweeps)),
+		"gcsimd_decode_once_frames_total 0\n", fmt.Sprintf("gcsimd_decode_once_frames_total %g\n", float64(fused.DecodeOnceFrames)),
+	).Replace(string(golden))
+	sb.Reset()
+	m.WriteText(&sb, tc, 2, tenants, cs)
+	if got := sb.String(); got != want {
+		t.Errorf("metrics page differs from testdata/metrics.txt:\n%s", got)
 	}
 }
 

@@ -127,11 +127,7 @@ func TestPoolPriorityOrderAndConcurrencyGate(t *testing.T) {
 
 func TestEventHubSlowSubscriberDrops(t *testing.T) {
 	var slow atomic.Uint64
-	h := newEventHub(nil, func(reason string, n uint64) {
-		if reason == DropSlowSubscriber {
-			slow.Add(n)
-		}
-	})
+	h := newEventHub(nil, func(n uint64) { slow.Add(n) })
 	_, ch, cancel := h.subscribe("j1")
 	defer cancel()
 	const extra = 10
