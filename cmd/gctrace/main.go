@@ -9,10 +9,10 @@
 // -parallel goroutines) and fans it out to every configuration of the
 // comma-separated -cache × -block cross product through the fused cache
 // bank, whose lanes are sharded across -parallel workers; it reports
-// reference counts, host throughput and the per-stage
-// decode/simulate/merge breakdown. -cache none replays into a null
-// consumer to measure delivery alone. -timeout and SIGINT/SIGTERM cancel
-// cleanly.
+// reference counts, host throughput, the per-stage decode/simulate/merge
+// breakdown and the strip filters' counts (cache.FusedBank.StripRefs).
+// -cache none replays into a null consumer to measure delivery alone.
+// -timeout and SIGINT/SIGTERM cancel cleanly.
 //
 // Usage:
 //
@@ -175,8 +175,9 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 		n, len(cfgs), traceio.FormatVersion)
 	fmt.Printf("throughput: %.1fM refs/s delivered, %.1fM cache accesses/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, refsPerSec(n*uint64(len(cfgs)), dur)/1e6, dur.Seconds())
-	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d\n",
-		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames())
+	offered, kept, examined := bank.StripRefs()
+	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d strip_offered=%d strip_kept=%d strip_examined=%d\n",
+		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), offered, kept, examined)
 	for _, c := range bank.Caches {
 		fmt.Printf("%-24v misses: %d penalized, %d allocation claims, miss ratio %.5f, collector misses %d\n",
 			c.Config(), c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio(), c.S.GCMisses())
