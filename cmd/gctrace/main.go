@@ -175,9 +175,9 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 		n, len(cfgs), traceio.FormatVersion)
 	fmt.Printf("throughput: %.1fM refs/s delivered, %.1fM cache accesses/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, refsPerSec(n*uint64(len(cfgs)), dur)/1e6, dur.Seconds())
-	offered, kept, examined := bank.StripRefs()
-	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d strip_offered=%d strip_kept=%d strip_examined=%d\n",
-		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), offered, kept, examined)
+	offered, kept := bank.StripRefs()
+	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d strip_offered=%d strip_kept=%d\n",
+		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), offered, kept)
 	for _, c := range bank.Caches {
 		fmt.Printf("%-24v misses: %d penalized, %d allocation claims, miss ratio %.5f, collector misses %d\n",
 			c.Config(), c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio(), c.S.GCMisses())

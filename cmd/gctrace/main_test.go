@@ -86,7 +86,7 @@ func TestCaptureReplay(t *testing.T) {
 		if got := refCount(t, out, "replayed"); got != refs {
 			t.Errorf("-parallel %s replayed %s references, captured %s", parallel, got, refs)
 		}
-		if !regexp.MustCompile(`(?m)^stages: .* strip_offered=\d+ strip_kept=\d+ strip_examined=\d+$`).MatchString(out) {
+		if !regexp.MustCompile(`(?m)^stages: .* strip_offered=\d+ strip_kept=\d+$`).MatchString(out) {
 			t.Errorf("-parallel %s: no stages line with strip counts in:\n%s", parallel, out)
 		}
 		lines := cacheLines(out)

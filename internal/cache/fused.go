@@ -19,12 +19,10 @@
 // the whole ring is in flight, which bounds memory and applies back
 // pressure, and the last worker to finish a chunk returns it to the ring.
 //
-// A shard of at least three lanes runs its plain lanes behind a chain of
-// strip filters (strip.go) from its coarsest block size to its finest: the
-// first filter reads the chunk, a later block size of at least three lanes
-// filters the survivors of the filter above it, and each block size's
-// lanes simulate the survivors of the last filter above them, which on
-// program traces is 6-21% of the chunk.
+// A shard of at least three lanes runs its plain lanes behind one strip
+// filter (strip.go) at its coarsest block size: the filter reads the chunk
+// once, and every plain lane simulates its survivors, which on program
+// traces is 6-21% of the chunk.
 //
 // Determinism: each lane consumes the chunk stream sequentially, in
 // order, exactly as the serial Bank's per-cache loop does, and the
@@ -37,7 +35,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +57,6 @@ type fusedLane struct {
 	wordMask uint64
 	fullMask uint64
 	fow      bool // fetch-on-write policy
-	stripped bool // behind a strip filter: plain chunks arrive stripped
 
 	// Per-chunk scratch, written by simulate and consumed by merge.
 	ev    [numEvents]uint64 // event counts, indexed by event kind
@@ -268,7 +264,7 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 // a sharded bank cannot be fed again.
 //
 // A bank's caches are fed only through the bank: its strip filters (see
-// strip.go) track the references its lanes have seen, so a reference
+// strip.go) track the references their lanes have seen, so a reference
 // given to one of its caches directly, or a Reset, would make them drop
 // references that are no longer hits.
 type FusedBank struct {
@@ -306,135 +302,66 @@ type fusedChunk struct {
 }
 
 // laneShard is a set of lanes simulated together on one goroutine, with
-// its own stage clocks and strip filters so workers never share state.
+// its own stage clocks and strip filter so workers never share state.
 type laneShard struct {
-	lanes    []fusedLane
-	chain    []stripStage     // the filter chains' block sizes, coarsest first; nil when none is built
-	passed   []mem.Ref        // the last filter's survivors, compacted in place down a chain
-	in       chan *fusedChunk // nil for the inline shard
-	simNs    int64            // time in the filters and fused simulate loops
-	mergeNs  int64            // time in stat merges and snapshot checks
-	offered  uint64           // refs the filtered lanes' block sizes would have simulated unfiltered
-	kept     uint64           // refs those block sizes simulated
-	examined uint64           // refs the filters read
-	panic    any              // a worker's recovered panic, re-raised by Drain
+	lanes   []fusedLane
+	filter  stripFilter      // nil sets when the shard runs unfiltered
+	passed  []mem.Ref        // the filter's survivors of the current chunk
+	in      chan *fusedChunk // nil for the inline shard
+	simNs   int64            // time in the filter and fused simulate loops
+	mergeNs int64            // time in stat merges and snapshot checks
+	offered uint64           // refs the filter read
+	kept    uint64           // refs it passed to the plain lanes
+	panic   any              // a worker's recovered panic, re-raised by Drain
 }
 
-// stripStage is one block size of a filter chain and its lanes. A head's
-// filter reads the whole chunk, and a later stage's the survivors of the
-// last filter above it. A later stage of fewer than stripMinLanes lanes
-// has no filter (nil sets): its lanes simulate those survivors.
-type stripStage struct {
-	filter stripFilter
-	head   bool
-	lanes  []int // indices into laneShard.lanes
-}
-
-// newLaneShard builds the lanes of caches and their filter chains
-// (strip.go), coarsest block size first. A chain of at least stripMinLanes
-// lanes gets a filter on its head and on every later block size of
-// stripMinLanes lanes, each as large as the smallest cache of its own and
-// every finer block size in the chain. Where that is smaller than the
-// head's block, the chain breaks: the head's lanes form a chain alone, and
-// the next block size starts another.
+// newLaneShard builds the lanes of caches and, for a shard of at least
+// stripMinLanes lanes, its strip filter (strip.go): at the shard's
+// coarsest block size, as large as its smallest cache. A shard whose
+// smallest cache is smaller than that block runs unfiltered.
 func newLaneShard(caches []*Cache) laneShard {
 	var s laneShard
-	var shifts []uint // block shifts present
-	byShift := make(map[uint][]int)
-	for i, c := range caches {
+	for _, c := range caches {
 		s.lanes = append(s.lanes, newFusedLane(c))
-		if byShift[c.blockShift] == nil {
-			shifts = append(shifts, c.blockShift)
-		}
-		byShift[c.blockShift] = append(byShift[c.blockShift], i)
 	}
 	if len(caches) < stripMinLanes {
 		return s
 	}
-	slices.Sort(shifts)
-	slices.Reverse(shifts)
-	// own[k] is the smallest cache of block size shifts[k], and below[k] the
-	// smallest of it and every finer one.
-	own, below := make([]int, len(shifts)), make([]int, len(shifts))
-	for k := len(shifts) - 1; k >= 0; k-- {
-		lanes := byShift[shifts[k]]
-		own[k] = caches[lanes[0]].cfg.SizeBytes
-		for _, i := range lanes {
-			own[k] = min(own[k], caches[i].cfg.SizeBytes)
+	coarsest, capacity := 0, caches[0].cfg.SizeBytes
+	for i, c := range caches {
+		if c.blockShift > caches[coarsest].blockShift {
+			coarsest = i
 		}
-		below[k] = own[k]
-		if k+1 < len(shifts) {
-			below[k] = min(below[k], below[k+1])
-		}
+		capacity = min(capacity, c.cfg.SizeBytes)
 	}
-	for head, end := 0, 0; head < len(shifts); head = end {
-		// A chain runs from its head to the finest block size, with
-		// capacities below, unless the head's block is larger than
-		// below[head]: then it breaks after the head, whose capacity is its
-		// own lanes'. Capacities only grow and blocks only shrink down a
-		// chain, so only a head can break.
-		capacity := below
-		end = len(shifts)
-		if below[head] < 1<<shifts[head] {
-			end, capacity = head+1, own
-		}
-		n := 0
-		for _, shift := range shifts[head:end] {
-			n += len(byShift[shift])
-		}
-		if n < stripMinLanes {
-			continue // its lanes run unfiltered
-		}
-		for k := head; k < end; k++ {
-			st := stripStage{head: k == head, lanes: byShift[shifts[k]]}
-			if st.head || len(st.lanes) >= stripMinLanes {
-				shift, wordMask := shifts[k], s.lanes[st.lanes[0]].wordMask
-				st.filter = stripFilter{sets: make([]stripEntry, capacity[k]>>shift), shift: shift, wordMask: wordMask}
-			}
-			for _, i := range st.lanes {
-				s.lanes[i].stripped = true
-			}
-			s.chain = append(s.chain, st)
-		}
+	if shift := caches[coarsest].blockShift; capacity >= 1<<shift {
+		s.filter = stripFilter{sets: make([]stripEntry, capacity>>shift), shift: shift, wordMask: s.lanes[coarsest].wordMask}
 	}
 	return s
 }
 
 // step runs one chunk through every lane of the shard, then merges each
-// lane's counters and samples its snapshot at the chunk's stamp. Lanes
-// outside the filter chains, and instrumented lanes, take the whole chunk;
-// each filter of a chain then strips its input once, and each block
-// size's plain lanes simulate the last survivors. The simulate pass and
-// the merge pass are timed separately so sweeps can report a
-// decode/simulate/merge breakdown.
+// lane's counters and samples its snapshot at the chunk's stamp. The
+// filter, if the shard has one, strips the chunk once; plain lanes
+// simulate its survivors and instrumented lanes the whole chunk. The
+// simulate pass and the merge pass are timed separately so sweeps can
+// report a decode/simulate/merge breakdown.
 func (s *laneShard) step(refs []mem.Ref, kinds *[4]uint64, clockAt uint64) {
 	t0 := time.Now()
-	for i := range s.lanes {
-		if ln := &s.lanes[i]; !ln.stripped || ln.c.instrumented {
-			ln.run(refs)
+	passed := refs
+	if s.filter.sets != nil {
+		if len(s.passed) < len(refs) {
+			s.passed = make([]mem.Ref, max(len(refs), mem.ChunkRefs))
 		}
-	}
-	if len(s.chain) > 0 && len(s.passed) < len(refs) {
-		s.passed = make([]mem.Ref, max(len(refs), mem.ChunkRefs))
-	}
-	passed := s.passed[:0]
-	for k := range s.chain {
-		st := &s.chain[k]
-		if st.filter.sets != nil { // every head has one
-			in := passed
-			if st.head {
-				in = refs
-			}
-			passed = s.passed[:st.filter.strip(in, s.passed)]
-			s.examined += uint64(len(in))
-		}
+		passed = s.passed[:s.filter.strip(refs, s.passed)]
 		s.offered += uint64(len(refs))
 		s.kept += uint64(len(passed))
-		for _, i := range st.lanes {
-			if ln := &s.lanes[i]; !ln.c.instrumented {
-				ln.ev = simulate(passed, ln)
-				ln.fused = true
-			}
+	}
+	for i := range s.lanes {
+		if ln := &s.lanes[i]; ln.c.instrumented {
+			ln.run(refs)
+		} else {
+			ln.run(passed)
 		}
 	}
 	t1 := time.Now()
@@ -610,7 +537,6 @@ func (b *FusedBank) Drain() {
 		b.inline.mergeNs += s.mergeNs
 		b.inline.offered += s.offered
 		b.inline.kept += s.kept
-		b.inline.examined += s.examined
 		if s.panic != nil {
 			panic(s.panic)
 		}
@@ -622,24 +548,10 @@ func (b *FusedBank) Drain() {
 // set before the first reference.
 func (b *FusedBank) SetSnapshotClock(clock func() uint64) { b.clock = clock }
 
-// Workers returns the number of worker goroutines; 0 means the lanes
-// run inline on the producer.
-func (b *FusedBank) Workers() int { return len(b.workers) }
-
 // Bank returns a serial-bank view sharing this bank's caches, for code
 // that consumes *Bank results. On a sharded bank it is valid only after
 // Drain.
 func (b *FusedBank) Bank() *Bank { return &Bank{Caches: b.Caches} }
-
-// Find returns the bank's cache with the given configuration, or nil.
-func (b *FusedBank) Find(cfg Config) *Cache {
-	for _, c := range b.Caches {
-		if c.cfg == cfg {
-			return c
-		}
-	}
-	return nil
-}
 
 // SimulateSeconds returns the cumulative wall time spent in the fused
 // simulate loops, and MergeSeconds the time in per-chunk stat merges and
@@ -652,17 +564,13 @@ func (b *FusedBank) SimulateSeconds() float64 { return float64(b.inline.simNs) /
 // counters into cache Stats (see SimulateSeconds).
 func (b *FusedBank) MergeSeconds() float64 { return float64(b.inline.mergeNs) / 1e9 }
 
-// StripRefs returns the bank's strip filter counts, summed over shards.
-// offered counts each chunk once per filtered block size: the references
-// that block size's lanes would have simulated with no filter. kept counts
-// the references they did simulate, and examined the references the
-// filters read: a chain's head reads the chunk, each later filter the
-// survivors of the last one above it. All three are 0 on a bank with no
-// filter. A
-// sharded bank sums its workers' counts at Drain, so read them only after
-// Drain.
-func (b *FusedBank) StripRefs() (offered, kept, examined uint64) {
-	return b.inline.offered, b.inline.kept, b.inline.examined
+// StripRefs returns the bank's strip filter counts, summed over shards:
+// offered, the references the filters read (each chunk once per filtered
+// shard), and kept, the ones they passed to their plain lanes. Both are 0
+// on a bank with no filter. A sharded bank sums its workers' counts at
+// Drain, so read them only after Drain.
+func (b *FusedBank) StripRefs() (offered, kept uint64) {
+	return b.inline.offered, b.inline.kept
 }
 
 // ParallelBank is the former name of a sharded FusedBank.

@@ -97,7 +97,7 @@ func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref) {
 		bank := NewFusedBank(cfgs)
 		b.StartTimer()
 		feedChunks(bank, stream)
-		o, k, _ := bank.StripRefs()
+		o, k := bank.StripRefs()
 		offered, kept = offered+o, kept+k
 	}
 	b.StopTimer()
@@ -109,9 +109,9 @@ func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref) {
 }
 
 // BenchmarkFusedGridLocal is BenchmarkFusedGrid on localStream, whose
-// reuse lets the strip filters drop most references, as on recorded
-// traces; synthStream's scattered revisits keep 89% of its references,
-// so BenchmarkFusedGrid shows the filters' overhead instead.
+// reuse lets the strip filter drop most references, as on recorded
+// traces; synthStream's scattered revisits keep 93% of its references,
+// so BenchmarkFusedGrid shows the filter's overhead instead.
 func BenchmarkFusedGridLocal(b *testing.B) {
 	benchConfigRefs(b, fig1Configs(), localStream(1<<20))
 }
@@ -120,8 +120,7 @@ func BenchmarkFusedGridLocal(b *testing.B) {
 // shard shapes around stripMinLanes, below which a shard runs unfiltered:
 // 1, 2, 3, 4 and 8 lanes of one block size (64 bytes, sizes from 32 KiB
 // up), and one, two and three lanes each of 16-, 64- and 256-byte blocks
-// (32 KiB, then 64 and 128 KiB): the head's filter alone below three lanes
-// a block size, a chain of three filters at three.
+// (32 KiB, then 64 and 128 KiB), all behind one 256-byte filter.
 func BenchmarkFusedGroup(b *testing.B) {
 	stream := localStream(1 << 20)
 	for _, n := range []int{1, 2, 3, 4, 8} {

@@ -6,15 +6,16 @@ import (
 	"gcsim/internal/mem"
 )
 
-// oracleCache is an independent model of one direct-mapped cache, written
-// from the paper's description rather than from Cache: a map from set
-// index to the resident line, division and remainder for the address
-// split, and no code shared with Cache. It is slow and plainly right, and
-// the fused kernel is checked against it.
+// oracleCache is an independent model of one LRU set-associative cache,
+// direct-mapped at one way, written from the paper's description rather
+// than from Cache or AssocCache: a map from set index to the set's
+// resident lines in recency order, division and remainder for the address
+// split, and no code shared with either. It is slow and plainly right, and
+// the fused kernel and AssocCache are checked against it.
 type oracleCache struct {
-	cfg   Config
-	lines map[uint64]*oracleLine // set index -> resident line; absent = empty
-	S     Stats
+	cfg  AssocConfig
+	sets map[uint64][]*oracleLine // set index -> resident lines, most recently used first
+	S    Stats
 }
 
 type oracleLine struct {
@@ -23,8 +24,17 @@ type oracleLine struct {
 	dirty bool
 }
 
-func newOracleCache(cfg Config) *oracleCache {
-	return &oracleCache{cfg: cfg, lines: make(map[uint64]*oracleLine)}
+func newOracleCache(cfg AssocConfig) *oracleCache {
+	return &oracleCache{cfg: cfg, sets: make(map[uint64][]*oracleLine)}
+}
+
+// oracleStats runs refs through a fresh oracle of cfg and returns its Stats.
+func oracleStats(cfg AssocConfig, refs []mem.Ref) Stats {
+	o := newOracleCache(cfg)
+	for _, r := range refs {
+		o.access(r.Addr(), r.Write(), r.Collector())
+	}
+	return o.S
 }
 
 // access simulates one reference to word address addr.
@@ -34,7 +44,7 @@ func (o *oracleCache) access(addr uint64, write, collector bool) {
 	byteAddr := addr * mem.WordBytes
 	blockBytes := uint64(o.cfg.BlockBytes)
 	block := byteAddr / blockBytes
-	set := block % (uint64(o.cfg.SizeBytes) / blockBytes)
+	set := block % (uint64(o.cfg.SizeBytes) / blockBytes / uint64(o.cfg.Ways))
 	word := byteAddr % blockBytes / mem.WordBytes
 
 	s := &o.S
@@ -49,8 +59,14 @@ func (o *oracleCache) access(addr uint64, write, collector bool) {
 		s.Reads++
 	}
 
-	line := o.lines[set]
-	if line != nil && line.block == block {
+	lines := o.sets[set]
+	for i, line := range lines {
+		if line.block != block {
+			continue
+		}
+		// A hit: the line becomes the most recently used.
+		copy(lines[1:i+1], lines[:i])
+		lines[0] = line
 		if write {
 			line.valid[word] = true
 			line.dirty = true
@@ -62,16 +78,20 @@ func (o *oracleCache) access(addr uint64, write, collector bool) {
 		return
 	}
 
-	// Miss: the occupant is evicted and, if dirty, written back.
-	if line != nil && line.dirty {
-		if collector {
-			s.GCWritebacks++
-		} else {
-			s.Writebacks++
+	// Miss: a full set evicts its least recently used line, writing it back
+	// if dirty.
+	if len(lines) == o.cfg.Ways {
+		if lines[len(lines)-1].dirty {
+			if collector {
+				s.GCWritebacks++
+			} else {
+				s.Writebacks++
+			}
 		}
+		lines = lines[:len(lines)-1]
 	}
-	line = &oracleLine{block: block, valid: make([]bool, blockBytes/mem.WordBytes), dirty: write}
-	o.lines[set] = line
+	line := &oracleLine{block: block, valid: make([]bool, blockBytes/mem.WordBytes), dirty: write}
+	o.sets[set] = append([]*oracleLine{line}, lines...)
 	switch {
 	case !write:
 		line.fetch()
@@ -150,11 +170,7 @@ func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 	t.Helper()
 	want := make([]Stats, len(cfgs))
 	for i, cfg := range cfgs {
-		o := newOracleCache(cfg)
-		for _, r := range refs {
-			o.access(r.Addr(), r.Write(), r.Collector())
-		}
-		want[i] = o.S
+		want[i] = oracleStats(AssocConfig{SizeBytes: cfg.SizeBytes, BlockBytes: cfg.BlockBytes, Ways: 1, Policy: cfg.Policy}, refs)
 	}
 	check := func(name string, caches []*Cache) {
 		t.Helper()
@@ -177,7 +193,7 @@ func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 
 // oracleSeeds are the fuzz target's seed inputs: streams with locality in
 // every base over assorted geometries, the 64-bit byte-address wrap, and
-// shards large enough for the FusedBank's strip filter chains.
+// shards large enough for the FusedBank's strip filters.
 func oracleSeeds() [][]byte {
 	rng := uint64(0x2545F4914F6CDD1D)
 	next := func() byte {
@@ -232,14 +248,13 @@ func oracleSeeds() [][]byte {
 	// and twice, fed one ref per chunk.
 	seeds = append(seeds, walk([]byte{5, 0, 1, 2, 1, 2, 0x86, 3, 0x86, 3, 1, 4, 1, 2}, []byte{1, 2}, 0, 0x100, 1500))
 
-	// Chains that break: 512-byte blocks in 4 and 1 KiB caches (a = 6 or
-	// 0x84), 256-byte caches of 16-byte blocks (a = 1 or 0x86, b = 2) and
-	// 64-byte blocks in 1 and 2 KiB (a = 0x81 or 3), three per shard on two
-	// workers. The 512-byte block is larger than the finer lanes' smallest
-	// cache, so the chain breaks after it: its two lanes run unfiltered,
-	// and inline the 64-byte filter heads a chain of the other four. Fed a
-	// 512-byte filter's survivors, the 16-byte lanes would lose the misses
-	// of words their 256 bytes cannot hold.
+	// A shard whose smallest cache is below its coarsest block: 512-byte
+	// blocks in 4 and 1 KiB caches (a = 6 or 0x84), 256-byte caches of
+	// 16-byte blocks (a = 1 or 0x86, b = 2) and 64-byte blocks in 1 and 2
+	// KiB (a = 0x81 or 3), three per shard on two workers. Every shard runs
+	// unfiltered. Fed the survivors of a 512-byte filter sized from the
+	// 512-byte lanes alone, the 16-byte lanes would lose the misses of words
+	// their 256 bytes cannot hold.
 	seeds = append(seeds, walk([]byte{5, 3, 6, 6, 0x84, 4, 1, 2, 0x86, 2, 0x81, 4, 3, 5}, []byte{2}, 0, 0x100, 1500))
 	// Program and collector writes to different 16-byte blocks of one
 	// 64-byte block, which the 64-byte filter then sees written; then reads
@@ -247,10 +262,10 @@ func oracleSeeds() [][]byte {
 	// re-write written words, the other two first-write words only read so
 	// far, which must reach the 16-byte lanes to dirty their blocks. 64-byte
 	// blocks in 128, 256 and 512 bytes (a = 3 or 0x81) and 16-byte blocks in
-	// 128, 256 and 512 bytes (a = 0x86 or 1). Inline both block sizes
-	// filter; on two workers, three lanes per shard, the 16-byte lanes take
-	// the 64-byte filter's survivors. The 64-byte blocks cycle through 1
-	// KiB, so lines are evicted and their write-backs counted.
+	// 128, 256 and 512 bytes (a = 0x86 or 1). Inline and on two workers,
+	// three lanes per shard, the 16-byte lanes take a 64-byte filter's
+	// survivors. The 64-byte blocks cycle through 1 KiB, so lines are
+	// evicted and their write-backs counted.
 	data := []byte{5, 1, 3, 2, 0x81, 3, 0x86, 1, 1, 2, 1, 3, 3, 1}
 	ref := func(word int, write, collector bool) {
 		f := byte(2<<2) | byte(word>>8)<<5 // the dynamic base
@@ -275,21 +290,36 @@ func oracleSeeds() [][]byte {
 	}
 	seeds = append(seeds, data)
 
-	// A broken head that filters: 512-byte blocks in 1, 2 and 4 KiB (a = 6
-	// or 0x84) beside 256-byte caches of 16-byte blocks (a = 0x86 or 1, b =
-	// 2) and 64-byte blocks in 512 bytes and 1 KiB (a = 0x81 or 3). Inline
-	// and on the first of two workers the 512-byte lanes filter alone, at 1
-	// KiB; inline the 64-byte filter heads the finer five and the 16-byte
-	// filter follows it. On the second worker two 16-byte lanes take the
-	// survivors of a 64-byte filter of 256 bytes.
+	// Three 512-byte lanes that cannot filter: 512-byte blocks in 1, 2 and
+	// 4 KiB (a = 6 or 0x84) beside 256-byte caches of 16-byte blocks (a =
+	// 0x86 or 1, b = 2) and 64-byte blocks in 512 bytes and 1 KiB (a = 0x81
+	// or 3). Inline and on the first of two workers the smallest cache, 256
+	// bytes, is below the 512-byte block, so those shards run unfiltered. On
+	// the second worker two 16-byte and two 64-byte lanes take the survivors
+	// of a 64-byte filter of 256 bytes.
 	seeds = append(seeds, walk([]byte{7, 3, 6, 4, 0x86, 2, 0x84, 5, 1, 2, 6, 6, 0x81, 3, 0x86, 2, 3, 4}, []byte{1, 2}, 0, 0x100, 1500))
-	// A block size with no filter of its own holding the chain's smallest
-	// cache: 256-byte blocks in 2 and 4 KiB (a = 5 or 0x83), one 256-byte
-	// cache of 64-byte blocks (a = 0x81, b = 2) and 16-byte blocks in 1 and
-	// 2 KiB (a = 1 or 0x86). Inline the 256-byte filter is 256 bytes, one
-	// set, because the lone 64-byte lane simulates its survivors; the
-	// 16-byte lanes filter on at 1 KiB.
-	return append(seeds, walk([]byte{6, 2, 5, 6, 0x81, 2, 0x83, 5, 1, 4, 5, 6, 0x86, 4, 1, 5}, []byte{1, 2}, 0, 0x100, 1500))
+	// A finer block size holding the shard's smallest cache: 256-byte
+	// blocks in 2 and 4 KiB (a = 5 or 0x83), one 256-byte cache of 64-byte
+	// blocks (a = 0x81, b = 2) and 16-byte blocks in 1 and 2 KiB (a = 1 or
+	// 0x86). Inline the 256-byte filter is 256 bytes, one set, because the
+	// lone 64-byte lane simulates its survivors; on the second of two
+	// workers that lane and two 16-byte ones take a 64-byte filter's.
+	seeds = append(seeds, walk([]byte{6, 2, 5, 6, 0x81, 2, 0x83, 5, 1, 4, 5, 6, 0x86, 4, 1, 5}, []byte{1, 2}, 0, 0x100, 1500))
+
+	// Seed #8's configs, whose smallest cache, 256 bytes, is below their
+	// 512-byte block, so no shard may filter. For each of 16 consecutive
+	// 512-byte blocks: read its first word, the word 256 bytes on, and the
+	// first word again. In a 256-byte cache of 16-byte blocks the second
+	// read evicts the first word, so the third misses; a filter of one
+	// 512-byte set would drop it.
+	data = []byte{5, 3, 6, 6, 0x84, 4, 1, 2, 0x86, 2, 0x81, 4, 3, 5}
+	for b := 0; b < 16; b++ {
+		first := b * 512 / mem.WordBytes
+		ref(first, false, false)
+		ref(first+256/mem.WordBytes, false, false)
+		ref(first, false, false)
+	}
+	return append(seeds, data)
 }
 
 // FuzzFusedBankOracle differential-fuzzes the simulate kernel against
@@ -303,6 +333,32 @@ func FuzzFusedBankOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfgs, chunk, refs := decodeOracleInput(data)
 		matchOracle(t, cfgs, refs, chunk)
+	})
+}
+
+// FuzzAssocCacheOracle differential-fuzzes AssocCache against the oracle
+// over FuzzFusedBankOracle's inputs, config i given 1<<(i%4) ways, capped
+// at its block count: AccessBatch over the input's chunking and
+// per-reference Access must both accumulate the oracle's Stats.
+func FuzzAssocCacheOracle(f *testing.F) {
+	for _, seed := range oracleSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfgs, chunk, refs := decodeOracleInput(data)
+		for i, cfg := range cfgs {
+			acfg := AssocConfig{SizeBytes: cfg.SizeBytes, BlockBytes: cfg.BlockBytes, Policy: cfg.Policy,
+				Ways: min(1<<(i%4), cfg.SizeBytes/cfg.BlockBytes)}
+			want := oracleStats(acfg, refs)
+			batch, single := NewAssoc(acfg), NewAssoc(acfg)
+			feedChunksOf(batch, refs, chunk)
+			for _, r := range refs {
+				single.Access(r.Addr(), r.Write(), r.Collector())
+			}
+			if batch.S != want || single.S != want {
+				t.Fatalf("config %v: AccessBatch stats %+v, Access %+v, oracle %+v", acfg, batch.S, single.S, want)
+			}
+		}
 	})
 }
 

@@ -44,8 +44,8 @@ func TestParallelBankWorkerSharding(t *testing.T) {
 		if want == 1 {
 			want = 0
 		}
-		if par.Workers() != want {
-			t.Fatalf("workers=%d: pool has %d workers, want %d", n, par.Workers(), want)
+		if len(par.workers) != want {
+			t.Fatalf("workers=%d: pool has %d workers, want %d", n, len(par.workers), want)
 		}
 		feedChunks(par, stream)
 		par.Drain()

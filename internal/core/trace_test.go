@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"gcsim/internal/cache"
 	"gcsim/internal/castore"
 	"gcsim/internal/gc"
 	"gcsim/internal/telemetry"
@@ -409,55 +408,5 @@ func TestReplaySimulateSpanStripAttrs(t *testing.T) {
 	}
 	if offered != meta.Refs || kept >= offered {
 		t.Errorf("strip_offered = %d, strip_kept = %d, want offered = the trace's %d refs > kept", offered, kept, meta.Refs)
-	}
-}
-
-// The replay.simulate span carries strip_examined, the references the
-// filter chain read: 32, 64 and 128 KiB configs each of 16-, 64- and
-// 256-byte blocks, lanes inline, chain three filters, which are offered
-// the trace three times but read it once plus the 256- and 64-byte
-// filters' survivors.
-func TestReplaySimulateSpanStripExamined(t *testing.T) {
-	w, err := workloads.ByName("tc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	setParallelismForTest(t, 1)
-	spans := telemetry.NewSpanRecorder(0)
-	SetSpans(spans)
-	t.Cleanup(func() { SetSpans(nil) })
-	tc := installTraceCache(t)
-	col := gc.NewCheney(256 << 10)
-	identity := collectorIdentity(col)
-	var cfgs []cache.Config
-	for _, size := range cache.Sizes[:3] {
-		for _, block := range []int{16, 64, 256} {
-			cfgs = append(cfgs, cache.Config{SizeBytes: size, BlockBytes: block, Policy: cache.WriteValidate})
-		}
-	}
-	if _, err := RunSweep(context.Background(), w, w.SmallScale, col, cfgs); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := tc.index.Load(traceKey(w.Name, w.SmallScale, identity))
-	if err != nil || meta == nil {
-		t.Fatalf("sidecar: %v, %v", meta, err)
-	}
-	var sim *telemetry.Span
-	for _, sp := range spans.Spans() {
-		if sp.Name == telemetry.StageSimulate {
-			sim = &sp
-		}
-	}
-	if sim == nil {
-		t.Fatal("no replay.simulate span")
-	}
-	offered, err1 := strconv.ParseUint(sim.Attrs["strip_offered"], 10, 64)
-	examined, err2 := strconv.ParseUint(sim.Attrs["strip_examined"], 10, 64)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("span strip_offered = %q, strip_examined = %q, want counts", sim.Attrs["strip_offered"], sim.Attrs["strip_examined"])
-	}
-	if offered != 3*meta.Refs || examined <= meta.Refs || examined >= offered {
-		t.Errorf("strip_offered = %d, strip_examined = %d, want offered = 3 x the trace's %d refs > examined > the trace",
-			offered, examined, meta.Refs)
 	}
 }

@@ -655,16 +655,15 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 // each child is an aggregate — marked as such, sharing the replay's start
 // time — and their durations can exceed the replay's wall time. The
 // simulate span also carries the bank's strip filter counts
-// (strip_offered, strip_kept, strip_examined; see FusedBank.StripRefs).
+// (strip_offered, strip_kept; see FusedBank.StripRefs).
 func emitReplayStages(ctx context.Context, start time.Time, decodeSec float64, bank *cache.FusedBank) {
 	r := Spans()
 	if r == nil {
 		return
 	}
 	agg := map[string]string{"aggregate": "true"}
-	offered, kept, examined := bank.StripRefs()
-	sim := map[string]string{"aggregate": "true", "strip_offered": fmt.Sprint(offered),
-		"strip_kept": fmt.Sprint(kept), "strip_examined": fmt.Sprint(examined)}
+	offered, kept := bank.StripRefs()
+	sim := map[string]string{"aggregate": "true", "strip_offered": fmt.Sprint(offered), "strip_kept": fmt.Sprint(kept)}
 	r.Emit(ctx, telemetry.StageDecode, start, time.Duration(decodeSec*float64(time.Second)), agg)
 	r.Emit(ctx, telemetry.StageSimulate, start, time.Duration(bank.SimulateSeconds()*float64(time.Second)), sim)
 	r.Emit(ctx, telemetry.StageMerge, start, time.Duration(bank.MergeSeconds()*float64(time.Second)), agg)
