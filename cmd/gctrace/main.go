@@ -10,7 +10,7 @@
 // comma-separated -cache × -block cross product through the fused cache
 // bank, whose lanes are sharded across -parallel workers; it reports
 // reference counts, host throughput, the per-stage decode/simulate/merge
-// breakdown and the strip filters' counts (cache.FusedBank.StripRefs).
+// breakdown and the bank's strip filter counts (cache.FusedBank.StripRefs).
 // -cache none replays into a null consumer to measure delivery alone.
 // -timeout and SIGINT/SIGTERM cancel cleanly.
 //

@@ -73,8 +73,8 @@ func cacheLines(stdout string) []string {
 
 // TestCaptureReplay captures tc, then replays every reference of it: into
 // 2 sizes x 3 block sizes with the lanes inline and sharded on two workers
-// behind two decoders, whose per-cache lines must be identical, and into
-// the null consumer.
+// behind two decoders, whose per-cache lines must be identical and whose
+// strip filter must read every reference once, and into the null consumer.
 func TestCaptureReplay(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "tc.trace")
 	out := mustRun(t, "-capture", trace, "-workload", "tc", "-scale", "2", "-gc", "cheney")
@@ -86,8 +86,13 @@ func TestCaptureReplay(t *testing.T) {
 		if got := refCount(t, out, "replayed"); got != refs {
 			t.Errorf("-parallel %s replayed %s references, captured %s", parallel, got, refs)
 		}
-		if !regexp.MustCompile(`(?m)^stages: .* strip_offered=\d+ strip_kept=\d+$`).MatchString(out) {
+		// The bank's one filter reads every reference once, however many
+		// workers its lanes are dealt to.
+		m := regexp.MustCompile(`(?m)^stages: .* strip_offered=(\d+) strip_kept=\d+$`).FindStringSubmatch(out)
+		if m == nil {
 			t.Errorf("-parallel %s: no stages line with strip counts in:\n%s", parallel, out)
+		} else if m[1] != refs {
+			t.Errorf("-parallel %s: strip_offered=%s, want the %s replayed references", parallel, m[1], refs)
 		}
 		lines := cacheLines(out)
 		if len(lines) != 6 {

@@ -12,17 +12,20 @@
 // being branched on per reference per config.
 //
 // A bank built with more than one worker shards its lanes round-robin
-// across worker goroutines. The producer (the VM's reference pipeline or
-// the shared trace decoder) copies each chunk once into a small recycled
-// ring and publishes it to every worker; each worker replays every chunk,
-// in publication order, against its own lanes. The producer blocks when
-// the whole ring is in flight, which bounds memory and applies back
+// across worker goroutines, behind one filter stage. The producer (the
+// VM's reference pipeline or the shared trace decoder) copies each chunk
+// once into a small recycled ring and hands it to the stage, a goroutine
+// that histograms the chunk, strips it into that ring chunk's survivor
+// buffer and publishes it to every worker; each worker replays every
+// chunk, in publication order, against its own lanes. The producer blocks
+// when the whole ring is in flight, which bounds memory and applies back
 // pressure, and the last worker to finish a chunk returns it to the ring.
 //
-// A shard of at least three lanes runs its plain lanes behind one strip
-// filter (strip.go) at its coarsest block size: the filter reads the chunk
-// once, and every plain lane simulates its survivors, which on program
-// traces is 6-21% of the chunk.
+// A bank of at least three lanes runs its plain lanes behind one strip
+// filter (strip.go) at its coarsest block size: the filter reads each
+// chunk once, on the producer of an inline bank and on the stage of a
+// sharded one, and every plain lane simulates its survivors, which on
+// program traces is 6-21% of the chunk.
 //
 // Determinism: each lane consumes the chunk stream sequentially, in
 // order, exactly as the serial Bank's per-cache loop does, and the
@@ -263,9 +266,9 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 // sharded one it is the barrier that waits for every worker. After Drain
 // a sharded bank cannot be fed again.
 //
-// A bank's caches are fed only through the bank: its strip filters (see
-// strip.go) track the references their lanes have seen, so a reference
-// given to one of its caches directly, or a Reset, would make them drop
+// A bank's caches are fed only through the bank: its strip filter (see
+// strip.go) tracks the references its lanes have seen, so a reference
+// given to one of its caches directly, or a Reset, would make it drop
 // references that are no longer hits.
 type FusedBank struct {
 	Caches []*Cache
@@ -273,12 +276,20 @@ type FusedBank struct {
 	// inline holds the lanes of an inline bank. On every bank its stage
 	// clocks are the bank's totals: a sharded bank folds its workers'
 	// clocks in at Drain.
-	inline  laneShard
-	workers []*laneShard // the worker shards of a sharded bank
-	free    chan *fusedChunk
-	wg      sync.WaitGroup
-	staged  []mem.Ref // per-ref Tracer staging (sharded banks)
-	drained bool
+	inline laneShard
+	// filter is the bank's strip filter. An inline bank runs it on the
+	// producer, into buf; a sharded bank on its filter stage, into each
+	// ring chunk's own buffer.
+	filter bankFilter
+	buf    []mem.Ref
+
+	workers    []*laneShard     // the worker shards of a sharded bank
+	stage      chan *fusedChunk // published chunks, to the filter stage
+	stagePanic any              // the stage's recovered panic, re-raised by Drain
+	free       chan *fusedChunk
+	wg         sync.WaitGroup
+	staged     []mem.Ref // per-ref Tracer staging (sharded banks)
+	drained    bool
 
 	// clock, when set, stamps chunk-boundary snapshots on the live path
 	// (the replay path carries each frame's recorded stamp instead). It is
@@ -292,71 +303,94 @@ type FusedBank struct {
 // workers, shallow enough that the chunks stay cache-resident.
 const fusedRing = 8
 
-// fusedChunk is one published chunk of a sharded bank, shared read-only
-// by every worker.
+// fusedChunk is one published chunk of a sharded bank: the producer fills
+// refs and clockAt, the filter stage the rest, and every worker then
+// reads it.
 type fusedChunk struct {
 	refs    []mem.Ref
+	passed  []mem.Ref    // the plain lanes' input: the filter's survivors of refs, or refs
+	buf     []mem.Ref    // this chunk's survivor buffer, on a filtered bank
 	kinds   [4]uint64    // reference-kind histogram (see refKinds)
 	clockAt uint64       // snapshot stamp (0 = none)
 	pending atomic.Int32 // workers that have not finished this chunk yet
 }
 
+// bankFilter is a bank's strip filter (strip.go), with its counts and
+// clock. Its sets are nil when the bank runs unfiltered.
+type bankFilter struct {
+	stripFilter
+	offered uint64 // refs the filter read
+	kept    uint64 // refs it passed to the plain lanes
+	ns      int64  // time in the filter
+}
+
+// newBankFilter builds the strip filter of a bank of at least
+// stripMinLanes caches: at their coarsest block size, as large as their
+// smallest cache. A bank whose smallest cache is smaller than that block
+// runs unfiltered.
+func newBankFilter(caches []*Cache) bankFilter {
+	var f bankFilter
+	if len(caches) < stripMinLanes {
+		return f
+	}
+	coarsest, capacity := caches[0], caches[0].cfg.SizeBytes
+	for _, c := range caches {
+		if c.blockShift > coarsest.blockShift {
+			coarsest = c
+		}
+		capacity = min(capacity, c.cfg.SizeBytes)
+	}
+	if shift := coarsest.blockShift; capacity >= 1<<shift {
+		f.stripFilter = stripFilter{sets: make([]stripEntry, capacity>>shift), shift: shift, wordMask: coarsest.wordMask}
+	}
+	return f
+}
+
+// pass returns the references of refs the plain lanes simulate: refs
+// itself on an unfiltered bank, otherwise the filter's survivors, written
+// to *buf, which it grows to fit.
+func (f *bankFilter) pass(refs []mem.Ref, buf *[]mem.Ref) []mem.Ref {
+	if f.sets == nil {
+		return refs
+	}
+	t0 := time.Now()
+	if len(*buf) < len(refs) {
+		*buf = make([]mem.Ref, max(len(refs), mem.ChunkRefs))
+	}
+	passed := (*buf)[:f.strip(refs, *buf)]
+	f.offered += uint64(len(refs))
+	f.kept += uint64(len(passed))
+	f.ns += int64(time.Since(t0))
+	return passed
+}
+
 // laneShard is a set of lanes simulated together on one goroutine, with
-// its own stage clocks and strip filter so workers never share state.
+// its own stage clocks so workers never share state.
 type laneShard struct {
 	lanes   []fusedLane
-	filter  stripFilter      // nil sets when the shard runs unfiltered
-	passed  []mem.Ref        // the filter's survivors of the current chunk
 	in      chan *fusedChunk // nil for the inline shard
-	simNs   int64            // time in the filter and fused simulate loops
+	simNs   int64            // time in the fused simulate loops
 	mergeNs int64            // time in stat merges and snapshot checks
-	offered uint64           // refs the filter read
-	kept    uint64           // refs it passed to the plain lanes
 	panic   any              // a worker's recovered panic, re-raised by Drain
 }
 
-// newLaneShard builds the lanes of caches and, for a shard of at least
-// stripMinLanes lanes, its strip filter (strip.go): at the shard's
-// coarsest block size, as large as its smallest cache. A shard whose
-// smallest cache is smaller than that block runs unfiltered.
+// newLaneShard builds the lanes of caches.
 func newLaneShard(caches []*Cache) laneShard {
 	var s laneShard
 	for _, c := range caches {
 		s.lanes = append(s.lanes, newFusedLane(c))
 	}
-	if len(caches) < stripMinLanes {
-		return s
-	}
-	coarsest, capacity := 0, caches[0].cfg.SizeBytes
-	for i, c := range caches {
-		if c.blockShift > caches[coarsest].blockShift {
-			coarsest = i
-		}
-		capacity = min(capacity, c.cfg.SizeBytes)
-	}
-	if shift := caches[coarsest].blockShift; capacity >= 1<<shift {
-		s.filter = stripFilter{sets: make([]stripEntry, capacity>>shift), shift: shift, wordMask: s.lanes[coarsest].wordMask}
-	}
 	return s
 }
 
 // step runs one chunk through every lane of the shard, then merges each
-// lane's counters and samples its snapshot at the chunk's stamp. The
-// filter, if the shard has one, strips the chunk once; plain lanes
-// simulate its survivors and instrumented lanes the whole chunk. The
-// simulate pass and the merge pass are timed separately so sweeps can
-// report a decode/simulate/merge breakdown.
-func (s *laneShard) step(refs []mem.Ref, kinds *[4]uint64, clockAt uint64) {
+// lane's counters and samples its snapshot at the chunk's stamp. Plain
+// lanes simulate passed, the bank filter's survivors of refs, and
+// instrumented lanes the whole chunk. The simulate pass and the merge
+// pass are timed separately so sweeps can report a decode/simulate/merge
+// breakdown.
+func (s *laneShard) step(refs, passed []mem.Ref, kinds *[4]uint64, clockAt uint64) {
 	t0 := time.Now()
-	passed := refs
-	if s.filter.sets != nil {
-		if len(s.passed) < len(refs) {
-			s.passed = make([]mem.Ref, max(len(refs), mem.ChunkRefs))
-		}
-		passed = s.passed[:s.filter.strip(refs, s.passed)]
-		s.offered += uint64(len(refs))
-		s.kept += uint64(len(passed))
-	}
 	for i := range s.lanes {
 		if ln := &s.lanes[i]; ln.c.instrumented {
 			ln.run(refs)
@@ -388,6 +422,7 @@ func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
 	for i, cfg := range cfgs {
 		b.Caches[i] = New(cfg)
 	}
+	b.filter = newBankFilter(b.Caches)
 	n = min(n, len(cfgs))
 	if n <= 1 {
 		b.inline = newLaneShard(b.Caches)
@@ -397,20 +432,53 @@ func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
 	for i := 0; i < fusedRing; i++ {
 		b.free <- &fusedChunk{refs: make([]mem.Ref, 0, mem.ChunkRefs)}
 	}
+	// The stage's and the workers' inputs are buffered to the ring size:
+	// neither holds up publication, only the free list does.
+	b.stage = make(chan *fusedChunk, fusedRing)
 	for w := 0; w < n; w++ {
 		var caches []*Cache
 		for i := w; i < len(cfgs); i += n {
 			caches = append(caches, b.Caches[i])
 		}
 		s := newLaneShard(caches)
-		// Buffered to the ring size: a worker never holds up publication,
-		// only the free list does.
 		s.in = make(chan *fusedChunk, fusedRing)
 		b.workers = append(b.workers, &s)
 		b.wg.Add(1)
 		go b.work(&s)
 	}
+	b.wg.Add(1)
+	go b.filterStage()
 	return b
+}
+
+// filterStage prepares every published chunk for the workers, in
+// publication order: it histograms the chunk's reference kinds and runs it
+// through the bank's strip filter, then hands it to every worker. Once the
+// producer closes the stage's input, it closes the workers'. A panic stops
+// the preparing but not the stage, which then returns each chunk to the
+// ring itself, so the producer never stalls; Drain re-raises it on the
+// caller.
+func (b *FusedBank) filterStage() {
+	defer b.wg.Done()
+	for ck := range b.stage {
+		if b.stagePanic == nil {
+			b.stagePanic = recovered("filter stage", func() {
+				ck.kinds = refKinds(ck.refs)
+				ck.passed = b.filter.pass(ck.refs, &ck.buf)
+			})
+		}
+		if b.stagePanic != nil {
+			b.free <- ck
+			continue
+		}
+		ck.pending.Store(int32(len(b.workers)))
+		for _, s := range b.workers {
+			s.in <- ck
+		}
+	}
+	for _, s := range b.workers {
+		close(s.in)
+	}
 }
 
 // work replays every published chunk against one worker's shard,
@@ -421,7 +489,7 @@ func (b *FusedBank) work(s *laneShard) {
 	defer b.wg.Done()
 	for ck := range s.in {
 		if s.panic == nil {
-			s.safeStep(ck)
+			s.panic = recovered("worker", func() { s.step(ck.refs, ck.passed, &ck.kinds, ck.clockAt) })
 		}
 		if ck.pending.Add(-1) == 0 {
 			b.free <- ck
@@ -429,13 +497,16 @@ func (b *FusedBank) work(s *laneShard) {
 	}
 }
 
-func (s *laneShard) safeStep(ck *fusedChunk) {
+// recovered runs f and returns its panic, if it raised one, with the stack
+// of the goroutine (named by who) that raised it, for Drain to re-raise.
+func recovered(who string, f func()) (p any) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.panic = fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", r, debug.Stack())
+			p = fmt.Sprintf("%v\n\n%s goroutine stack:\n%s", r, who, debug.Stack())
 		}
 	}()
-	s.step(ck.refs, &ck.kinds, ck.clockAt)
+	f()
+	return nil
 }
 
 // RefBatch implements mem.BatchTracer: the live path, clocked by the
@@ -466,7 +537,7 @@ func (b *FusedBank) chunk(refs []mem.Ref, clockAt uint64) {
 	}
 	if b.workers == nil {
 		kinds := refKinds(refs)
-		b.inline.step(refs, &kinds, clockAt)
+		b.inline.step(refs, b.filter.pass(refs, &b.buf), &kinds, clockAt)
 		return
 	}
 	b.flush()
@@ -483,17 +554,13 @@ func (b *FusedBank) flush() {
 }
 
 // publish copies a chunk into a ring chunk (the caller reuses its buffer
-// immediately) and publishes it to every worker, blocking while the ring
+// immediately) and hands it to the filter stage, blocking while the ring
 // is exhausted.
 func (b *FusedBank) publish(refs []mem.Ref, clockAt uint64) {
 	ck := <-b.free
 	ck.refs = append(ck.refs[:0], refs...)
-	ck.kinds = refKinds(refs)
 	ck.clockAt = clockAt
-	ck.pending.Store(int32(len(b.workers)))
-	for _, s := range b.workers {
-		s.in <- ck
-	}
+	b.stage <- ck
 }
 
 // Ref implements mem.Tracer for per-reference producers. An inline bank
@@ -515,28 +582,30 @@ func (b *FusedBank) Ref(addr uint64, write, collector bool) {
 	}
 }
 
-// Drain is the final barrier: it publishes any staged refs, waits for
-// every worker to finish every chunk, stops the workers, and folds their
-// stage clocks into the bank's. After Drain returns, the caches' Stats
-// are complete and safe to read from any goroutine. A panic on a worker
-// is re-raised here, on the caller's goroutine, so the caller's recovery
-// sees it as it would an inline one. Drain is idempotent and does nothing
-// on an inline bank.
+// Drain is the final barrier: it publishes any staged refs, stops the
+// filter stage and then the workers once they have finished every chunk,
+// waits for all of them, and folds the workers' stage clocks into the
+// bank's. After Drain returns, the caches' Stats are complete and safe to
+// read from any goroutine. A panic on the stage or a worker is re-raised
+// here, on the caller's goroutine, so the caller's recovery sees it as it
+// would an inline one. Drain is idempotent and does nothing on an inline
+// bank.
 func (b *FusedBank) Drain() {
 	if b.drained || b.workers == nil {
 		return
 	}
 	b.drained = true
 	b.flush()
-	for _, s := range b.workers {
-		close(s.in)
-	}
+	close(b.stage)
 	b.wg.Wait()
 	for _, s := range b.workers {
 		b.inline.simNs += s.simNs
 		b.inline.mergeNs += s.mergeNs
-		b.inline.offered += s.offered
-		b.inline.kept += s.kept
+	}
+	if b.stagePanic != nil {
+		panic(b.stagePanic)
+	}
+	for _, s := range b.workers {
 		if s.panic != nil {
 			panic(s.panic)
 		}
@@ -553,24 +622,26 @@ func (b *FusedBank) SetSnapshotClock(clock func() uint64) { b.clock = clock }
 // Drain.
 func (b *FusedBank) Bank() *Bank { return &Bank{Caches: b.Caches} }
 
-// SimulateSeconds returns the cumulative wall time spent in the fused
-// simulate loops, and MergeSeconds the time in per-chunk stat merges and
-// snapshot checks. A sharded bank sums its workers' clocks at Drain, so
-// read either only after Drain; the sum can exceed the elapsed wall
-// clock.
-func (b *FusedBank) SimulateSeconds() float64 { return float64(b.inline.simNs) / 1e9 }
+// SimulateSeconds returns the cumulative wall time spent in the strip
+// filter and the fused simulate loops, and MergeSeconds the time in
+// per-chunk stat merges and snapshot checks. A sharded bank sums its
+// stage's and workers' clocks, so read either only after Drain; the sum
+// can exceed the elapsed wall clock.
+func (b *FusedBank) SimulateSeconds() float64 {
+	return float64(b.inline.simNs+b.filter.ns) / 1e9
+}
 
 // MergeSeconds returns the cumulative wall time spent merging per-chunk
 // counters into cache Stats (see SimulateSeconds).
 func (b *FusedBank) MergeSeconds() float64 { return float64(b.inline.mergeNs) / 1e9 }
 
-// StripRefs returns the bank's strip filter counts, summed over shards:
-// offered, the references the filters read (each chunk once per filtered
-// shard), and kept, the ones they passed to their plain lanes. Both are 0
-// on a bank with no filter. A sharded bank sums its workers' counts at
-// Drain, so read them only after Drain.
+// StripRefs returns the bank's strip filter counts: offered, the
+// references the filter read (the whole stream, on a filtered bank), and
+// kept, the ones it passed to the plain lanes. Both are 0 on a bank with
+// no filter. A sharded bank's filter runs on its filter stage, so read
+// them only after Drain.
 func (b *FusedBank) StripRefs() (offered, kept uint64) {
-	return b.inline.offered, b.inline.kept
+	return b.filter.offered, b.filter.kept
 }
 
 // ParallelBank is the former name of a sharded FusedBank.

@@ -81,22 +81,23 @@ func BenchmarkFusedLane(b *testing.B) {
 // config-ref, the unit of the benchmark harness's cache.ns_per_config_ref.
 // Building each bank (allocating and clearing its tag arrays) is not timed.
 func BenchmarkFusedGrid(b *testing.B) {
-	benchConfigRefs(b, fig1Configs(), synthStream(1<<20))
+	benchConfigRefs(b, fig1Configs(), synthStream(1<<20), 1)
 }
 
-// benchConfigRefs runs stream through a fresh inline bank of cfgs per
-// iteration, building each bank untimed, and reports ns per config-ref and
-// the share of the references offered to the bank's strip filters that
-// they kept.
-func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref) {
+// benchConfigRefs runs stream through a fresh bank of cfgs on the given
+// number of workers per iteration, building each bank untimed and draining
+// it timed, and reports ns per config-ref and the share of the references
+// offered to the bank's strip filter that it kept.
+func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var offered, kept uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		bank := NewFusedBank(cfgs)
+		bank := NewFusedBankWorkers(cfgs, workers)
 		b.StartTimer()
 		feedChunks(bank, stream)
+		bank.Drain()
 		o, k := bank.StripRefs()
 		offered, kept = offered+o, kept+k
 	}
@@ -113,11 +114,19 @@ func benchConfigRefs(b *testing.B, cfgs []Config, stream []mem.Ref) {
 // traces; synthStream's scattered revisits keep 93% of its references,
 // so BenchmarkFusedGrid shows the filter's overhead instead.
 func BenchmarkFusedGridLocal(b *testing.B) {
-	benchConfigRefs(b, fig1Configs(), localStream(1<<20))
+	benchConfigRefs(b, fig1Configs(), localStream(1<<20), 1)
+}
+
+// BenchmarkFusedGridLocalWorkers is BenchmarkFusedGridLocal with the lanes
+// sharded on two workers behind the bank's filter stage, the shape of an
+// untraced replay-grid run; ns per config-ref is wall time, Drain
+// included.
+func BenchmarkFusedGridLocalWorkers(b *testing.B) {
+	benchConfigRefs(b, fig1Configs(), localStream(1<<20), 2)
 }
 
 // BenchmarkFusedGroup runs, on localStream with the lanes inline, the
-// shard shapes around stripMinLanes, below which a shard runs unfiltered:
+// bank shapes around stripMinLanes, below which a bank runs unfiltered:
 // 1, 2, 3, 4 and 8 lanes of one block size (64 bytes, sizes from 32 KiB
 // up), and one, two and three lanes each of 16-, 64- and 256-byte blocks
 // (32 KiB, then 64 and 128 KiB), all behind one 256-byte filter.
@@ -125,7 +134,7 @@ func BenchmarkFusedGroup(b *testing.B) {
 	stream := localStream(1 << 20)
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
-			benchConfigRefs(b, benchConfigs()[:n], stream)
+			benchConfigRefs(b, benchConfigs()[:n], stream, 1)
 		})
 	}
 	for _, per := range []int{1, 2, 3} {
@@ -136,7 +145,7 @@ func BenchmarkFusedGroup(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("mixed=3x%d", per), func(b *testing.B) {
-			benchConfigRefs(b, cfgs, stream)
+			benchConfigRefs(b, cfgs, stream, 1)
 		})
 	}
 }

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gcsim/internal/mem"
 )
@@ -481,12 +483,13 @@ func TestFusedBankStripState(t *testing.T) {
 	}
 }
 
-// TestFusedBankStripFilter checks where a shard builds its one strip
-// filter, at its coarsest block size: on every shard of at least
+// TestFusedBankStripFilter checks where a bank builds its one strip
+// filter, at its coarsest block size: on every bank of at least
 // stripMinLanes lanes of any block sizes whose smallest cache holds that
-// block, and on no other. A filter reads each chunk once, so offered is
-// the stream once per filtered shard; the Stats must equal the serial
-// Bank's either way.
+// block, and on no other, however many workers its lanes are dealt to.
+// The filter reads each chunk once, so offered is the stream on a filtered
+// bank and 0 on an unfiltered one, and what it keeps does not depend on
+// the worker count; the Stats must equal the serial Bank's either way.
 func TestFusedBankStripFilter(t *testing.T) {
 	stream := localStream(200_000)
 	var mixed []Config
@@ -499,19 +502,28 @@ func TestFusedBankStripFilter(t *testing.T) {
 		{SizeBytes: 256, BlockBytes: 16, Policy: WriteValidate},
 		{SizeBytes: 256, BlockBytes: 16, Policy: FetchOnWrite},
 	}
+	// A gcsimd job's shape in the benchmark: four 64-byte-block configs.
+	jobs := benchConfigs()[:4]
 	cases := []struct {
-		name    string
-		cfgs    []Config
-		workers int
-		shards  uint64 // filtered shards
+		name     string // the shape, then the workers
+		cfgs     []Config
+		workers  int
+		filtered bool
 	}{
-		{"grid/inline", fig1Configs(), 1, 1},
-		{"grid/workers=2", fig1Configs(), 2, 2},
-		{"grid/workers=8", fig1Configs(), 8, 8},
-		{"one lane per block size", mixed, 1, 1},
-		{"two lanes", mixed[:2], 1, 0},
-		{"smallest cache below the coarsest block", small, 1, 0},
+		{"grid/inline", fig1Configs(), 1, true},
+		{"grid/workers=2", fig1Configs(), 2, true},
+		{"grid/workers=3", fig1Configs(), 3, true},
+		{"grid/workers=8", fig1Configs(), 8, true},
+		{"one lane per block size", mixed, 1, true},
+		{"one lane per block size/workers=3", mixed, 3, true},
+		{"jobs/inline", jobs, 1, true},
+		{"jobs/workers=2", jobs, 2, true},
+		{"two lanes", mixed[:2], 1, false},
+		{"two lanes/workers=2", mixed[:2], 2, false},
+		{"smallest cache below the coarsest block", small, 1, false},
+		{"smallest cache below the coarsest block/workers=2", small, 2, false},
 	}
+	keptByShape := map[string]uint64{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := NewBank(tc.cfgs)
@@ -521,9 +533,19 @@ func TestFusedBankStripFilter(t *testing.T) {
 			fused.Drain()
 			sameStats(t, serial.Caches, fused.Caches)
 			offered, kept := fused.StripRefs()
-			t.Logf("kept %.3fx the stream per filtered shard", float64(kept)/float64(max(offered, 1)))
-			if want := tc.shards * uint64(len(stream)); offered != want {
-				t.Errorf("offered %d refs, want %d shards x %d", offered, tc.shards, len(stream))
+			t.Logf("kept %.3fx the stream", float64(kept)/float64(max(offered, 1)))
+			var want uint64
+			if tc.filtered {
+				want = uint64(len(stream))
+			}
+			if offered != want {
+				t.Errorf("offered %d refs, want %d", offered, want)
+			}
+			shape, _, _ := strings.Cut(tc.name, "/")
+			if first, ok := keptByShape[shape]; !ok {
+				keptByShape[shape] = kept
+			} else if kept != first {
+				t.Errorf("kept %d refs, want %d, as on the shape's first worker count", kept, first)
 			}
 		})
 	}
@@ -558,6 +580,79 @@ func TestFusedBankEmpty(t *testing.T) {
 		if bank.Bank() == nil || len(bank.Bank().Caches) != len(bank.Caches) {
 			t.Error("Bank() view does not share the caches")
 		}
+	}
+}
+
+// TestFusedBankStageHistogramsFirst: the filter stage must write a
+// chunk's kind histogram before it hands the chunk on, since each worker
+// merges it into its lanes' Stats. Each chunk here is one word read half
+// a million times, which the filter drops after its first read, so a
+// worker has almost nothing to simulate before it merges; a stage that
+// handed the chunk on first would still be counting its kinds, and the
+// workers would merge a histogram the chunk's ring slot held before.
+func TestFusedBankStageHistogramsFirst(t *testing.T) {
+	cfgs := benchConfigs()
+	serial := NewBank(cfgs)
+	fused := NewFusedBankWorkers(cfgs, 2)
+	for i := 0; i < 3; i++ {
+		chunk := make([]mem.Ref, 1<<19+i)
+		for j := range chunk {
+			chunk[j] = mem.MakeRef(mem.DynBase, false, i == 1)
+		}
+		serial.RefBatch(chunk)
+		fused.RefBatch(chunk)
+	}
+	fused.Drain()
+	sameStats(t, serial.Caches, fused.Caches)
+}
+
+// TestFusedBankDrainStopsGoroutines checks that Drain leaves none of a
+// sharded bank's goroutines, its filter stage and its workers, running:
+// on a filtered and an unfiltered bank, an unfed one, and one whose worker
+// panicked, each drained twice.
+func TestFusedBankDrainStopsGoroutines(t *testing.T) {
+	stream := localStream(20 * mem.ChunkRefs) // more chunks than the ring holds
+	feed := func(b *FusedBank) { feedChunks(b, stream) }
+	cases := []struct {
+		name  string
+		cfgs  []Config
+		feed  func(b *FusedBank)
+		panic string // the panic the first Drain re-raises, if any
+	}{
+		{"filtered", fig1Configs(), feed, ""},
+		{"unfiltered", benchConfigs()[:2], feed, ""},
+		{"unfed", fig1Configs(), func(*FusedBank) {}, ""},
+		{"worker panic", benchConfigs(), func(b *FusedBank) {
+			b.Caches[1].OnMiss(func(MissEvent) { panic("lane boom") })
+			feed(b)
+		}, "lane boom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			bank := NewFusedBankWorkers(tc.cfgs, 2)
+			tc.feed(bank)
+			drain := func() (r any) {
+				defer func() { r = recover() }()
+				bank.Drain()
+				return nil
+			}
+			if r := drain(); tc.panic == "" && r != nil || tc.panic != "" && !strings.Contains(fmt.Sprint(r), tc.panic) {
+				t.Fatalf("first Drain recovered %v, want %q", r, tc.panic)
+			}
+			if r := drain(); r != nil {
+				t.Fatalf("second Drain recovered %v", r)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines after Drain, %d before the bank was built:\n%s",
+						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -193,7 +193,7 @@ func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 
 // oracleSeeds are the fuzz target's seed inputs: streams with locality in
 // every base over assorted geometries, the 64-bit byte-address wrap, and
-// shards large enough for the FusedBank's strip filters.
+// banks large enough for the FusedBank's strip filter.
 func oracleSeeds() [][]byte {
 	rng := uint64(0x2545F4914F6CDD1D)
 	next := func() byte {
@@ -224,10 +224,9 @@ func oracleSeeds() [][]byte {
 	seeds = append(seeds, []byte{0, 0, 1, 4, top | 1, 5, belowWrap, 5, top, 4, belowWrap | 2, 5})
 
 	// Strip groups: three or more configs on one block size, so the
-	// FusedBank filters them inline, and on both workers when six share
-	// it. walk appends n refs with random write and collector flags whose
-	// offsets wander in small steps within span words from lo, at bases
-	// drawn from bases.
+	// FusedBank filters them, inline and on two workers. walk appends n
+	// refs with random write and collector flags whose offsets wander in
+	// small steps within span words from lo, at bases drawn from bases.
 	walk := func(data, bases []byte, lo, span, n int) []byte {
 		for i, off := 0, 0; i < n; i++ {
 			off = (off + int(next()%8) + span - 3) % span
@@ -248,11 +247,11 @@ func oracleSeeds() [][]byte {
 	// and twice, fed one ref per chunk.
 	seeds = append(seeds, walk([]byte{5, 0, 1, 2, 1, 2, 0x86, 3, 0x86, 3, 1, 4, 1, 2}, []byte{1, 2}, 0, 0x100, 1500))
 
-	// A shard whose smallest cache is below its coarsest block: 512-byte
+	// A bank whose smallest cache is below its coarsest block: 512-byte
 	// blocks in 4 and 1 KiB caches (a = 6 or 0x84), 256-byte caches of
 	// 16-byte blocks (a = 1 or 0x86, b = 2) and 64-byte blocks in 1 and 2
-	// KiB (a = 0x81 or 3), three per shard on two workers. Every shard runs
-	// unfiltered. Fed the survivors of a 512-byte filter sized from the
+	// KiB (a = 0x81 or 3). The bank runs unfiltered, inline and on two
+	// workers. Fed the survivors of a 512-byte filter sized from the
 	// 512-byte lanes alone, the 16-byte lanes would lose the misses of words
 	// their 256 bytes cannot hold.
 	seeds = append(seeds, walk([]byte{5, 3, 6, 6, 0x84, 4, 1, 2, 0x86, 2, 0x81, 4, 3, 5}, []byte{2}, 0, 0x100, 1500))
@@ -262,9 +261,8 @@ func oracleSeeds() [][]byte {
 	// re-write written words, the other two first-write words only read so
 	// far, which must reach the 16-byte lanes to dirty their blocks. 64-byte
 	// blocks in 128, 256 and 512 bytes (a = 3 or 0x81) and 16-byte blocks in
-	// 128, 256 and 512 bytes (a = 0x86 or 1). Inline and on two workers,
-	// three lanes per shard, the 16-byte lanes take a 64-byte filter's
-	// survivors. The 64-byte blocks cycle through 1 KiB, so lines are
+	// 128, 256 and 512 bytes (a = 0x86 or 1). Inline and on two workers
+	// the 16-byte lanes take the survivors of the bank's 64-byte filter. The 64-byte blocks cycle through 1 KiB, so lines are
 	// evicted and their write-backs counted.
 	data := []byte{5, 1, 3, 2, 0x81, 3, 0x86, 1, 1, 2, 1, 3, 3, 1}
 	ref := func(word int, write, collector bool) {
@@ -293,21 +291,23 @@ func oracleSeeds() [][]byte {
 	// Three 512-byte lanes that cannot filter: 512-byte blocks in 1, 2 and
 	// 4 KiB (a = 6 or 0x84) beside 256-byte caches of 16-byte blocks (a =
 	// 0x86 or 1, b = 2) and 64-byte blocks in 512 bytes and 1 KiB (a = 0x81
-	// or 3). Inline and on the first of two workers the smallest cache, 256
-	// bytes, is below the 512-byte block, so those shards run unfiltered. On
-	// the second worker two 16-byte and two 64-byte lanes take the survivors
-	// of a 64-byte filter of 256 bytes.
+	// or 3). The smallest cache, 256 bytes, is below the 512-byte block, so
+	// the bank runs unfiltered, inline and on two workers, although the
+	// second worker's two 16-byte and two 64-byte lanes alone would hold a
+	// 64-byte filter of 256 bytes.
 	seeds = append(seeds, walk([]byte{7, 3, 6, 4, 0x86, 2, 0x84, 5, 1, 2, 6, 6, 0x81, 3, 0x86, 2, 3, 4}, []byte{1, 2}, 0, 0x100, 1500))
-	// A finer block size holding the shard's smallest cache: 256-byte
+	// A finer block size holding the bank's smallest cache: 256-byte
 	// blocks in 2 and 4 KiB (a = 5 or 0x83), one 256-byte cache of 64-byte
 	// blocks (a = 0x81, b = 2) and 16-byte blocks in 1 and 2 KiB (a = 1 or
-	// 0x86). Inline the 256-byte filter is 256 bytes, one set, because the
-	// lone 64-byte lane simulates its survivors; on the second of two
-	// workers that lane and two 16-byte ones take a 64-byte filter's.
+	// 0x86). The 256-byte filter is 256 bytes, one set, because the lone
+	// 64-byte lane simulates its survivors: inline, and on two workers,
+	// whose second worker takes that lane and two 16-byte ones. A filter
+	// sized from the first worker's caches alone, 2 KiB, would drop refs
+	// that miss in that lane.
 	seeds = append(seeds, walk([]byte{6, 2, 5, 6, 0x81, 2, 0x83, 5, 1, 4, 5, 6, 0x86, 4, 1, 5}, []byte{1, 2}, 0, 0x100, 1500))
 
 	// Seed #8's configs, whose smallest cache, 256 bytes, is below their
-	// 512-byte block, so no shard may filter. For each of 16 consecutive
+	// 512-byte block, so the bank may not filter. For each of 16 consecutive
 	// 512-byte blocks: read its first word, the word 256 bytes on, and the
 	// first word again. In a 256-byte cache of 16-byte blocks the second
 	// read evicts the first word, so the third misses; a filter of one

@@ -1,11 +1,11 @@
 // Exact reference stripping (trace stripping, Puzak 1985, made exact for
-// write-validate's per-word valid bits and for dirty bits). A shard of at
+// write-validate's per-word valid bits and for dirty bits). A bank of at
 // least stripMinLanes lanes runs each chunk through one tag-only
-// direct-mapped filter at its coarsest block size, and every plain lane
-// simulates the filter's survivors.
+// direct-mapped filter at its coarsest block size, and every plain lane,
+// on whichever worker, simulates the filter's survivors.
 //
-// The filter's block size B is the shard's coarsest, and its capacity C
-// the shard's smallest cache, so its set count is C/B. A shard whose C is
+// The filter's block size B is the bank's coarsest, and its capacity C
+// the bank's smallest cache, so its set count is C/B. A bank whose C is
 // smaller than B runs unfiltered.
 //
 // Why dropping a reference is exact, by induction over the stream: say
@@ -36,13 +36,14 @@ package cache
 import "gcsim/internal/mem"
 
 // stripMinLanes is the smallest number of lanes, of any block sizes, for
-// which a shard's filter pays: with one or two lanes behind it, it cost
+// which a bank's filter pays: with one or two lanes behind it, it cost
 // more than it saved. Lanes inline, on one block size, over the first 8M
 // refs of tc and lambda: two lanes ran 0.85-1.08x as fast as without a
 // filter, three 1.14-1.49x, four 1.41-1.55x. One lane each of 16-, 64-
 // and 256-byte blocks: 1.6-1.7x on localStream (BenchmarkFusedGroup),
 // 1.24-1.67x on tc's whole trace and 1.03-1.30x on lambda's (DESIGN.md,
-// "Strip filter").
+// "Strip filter"). Instrumented lanes count toward it, since their hooks
+// are attached after the bank is built.
 const stripMinLanes = 3
 
 // stripEntry is one filter set, 24 bytes: the block that last took it,
@@ -55,7 +56,7 @@ type stripEntry struct {
 	seen [2]uint64
 }
 
-// stripFilter is a shard's filter. sets has a power-of-two length, the
+// stripFilter is a bank's filter. sets has a power-of-two length, the
 // filter's capacity over its block size.
 type stripFilter struct {
 	sets     []stripEntry

@@ -370,43 +370,47 @@ func TestTraceRecordSpanAttrs(t *testing.T) {
 }
 
 // The replay.simulate span carries the fused bank's strip counts: a
-// replay of eight 64-byte-block configs, lanes inline, filters them as one
-// block-size group, which is offered every reference of the trace and
-// keeps fewer.
+// replay of eight 64-byte-block configs, lanes inline or on two workers,
+// runs behind the bank's one filter, which is offered every reference of
+// the trace once and keeps fewer.
 func TestReplaySimulateSpanStripAttrs(t *testing.T) {
 	w, err := workloads.ByName("tc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	setParallelismForTest(t, 1)
-	spans := telemetry.NewSpanRecorder(0)
-	SetSpans(spans)
-	t.Cleanup(func() { SetSpans(nil) })
-	tc := installTraceCache(t)
-	col := gc.NewCheney(256 << 10)
-	identity := collectorIdentity(col)
-	if _, err := RunSweep(context.Background(), w, w.SmallScale, col, gcSweepConfigs()); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := tc.index.Load(traceKey(w.Name, w.SmallScale, identity))
-	if err != nil || meta == nil {
-		t.Fatalf("sidecar: %v, %v", meta, err)
-	}
-	var sim *telemetry.Span
-	for _, sp := range spans.Spans() {
-		if sp.Name == telemetry.StageSimulate {
-			sim = &sp
-		}
-	}
-	if sim == nil {
-		t.Fatal("no replay.simulate span")
-	}
-	offered, err1 := strconv.ParseUint(sim.Attrs["strip_offered"], 10, 64)
-	kept, err2 := strconv.ParseUint(sim.Attrs["strip_kept"], 10, 64)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("span strip_offered = %q, strip_kept = %q, want counts", sim.Attrs["strip_offered"], sim.Attrs["strip_kept"])
-	}
-	if offered != meta.Refs || kept >= offered {
-		t.Errorf("strip_offered = %d, strip_kept = %d, want offered = the trace's %d refs > kept", offered, kept, meta.Refs)
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			setParallelismForTest(t, parallel)
+			spans := telemetry.NewSpanRecorder(0)
+			SetSpans(spans)
+			t.Cleanup(func() { SetSpans(nil) })
+			tc := installTraceCache(t)
+			col := gc.NewCheney(256 << 10)
+			identity := collectorIdentity(col)
+			if _, err := RunSweep(context.Background(), w, w.SmallScale, col, gcSweepConfigs()); err != nil {
+				t.Fatal(err)
+			}
+			meta, err := tc.index.Load(traceKey(w.Name, w.SmallScale, identity))
+			if err != nil || meta == nil {
+				t.Fatalf("sidecar: %v, %v", meta, err)
+			}
+			var sim *telemetry.Span
+			for _, sp := range spans.Spans() {
+				if sp.Name == telemetry.StageSimulate {
+					sim = &sp
+				}
+			}
+			if sim == nil {
+				t.Fatal("no replay.simulate span")
+			}
+			offered, err1 := strconv.ParseUint(sim.Attrs["strip_offered"], 10, 64)
+			kept, err2 := strconv.ParseUint(sim.Attrs["strip_kept"], 10, 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("span strip_offered = %q, strip_kept = %q, want counts", sim.Attrs["strip_offered"], sim.Attrs["strip_kept"])
+			}
+			if offered != meta.Refs || kept >= offered {
+				t.Errorf("strip_offered = %d, strip_kept = %d, want offered = the trace's %d refs > kept", offered, kept, meta.Refs)
+			}
+		})
 	}
 }
