@@ -25,7 +25,10 @@
 // filter (strip.go) at its coarsest block size: the filter reads each
 // chunk once, on the producer of an inline bank and on the stage of a
 // sharded one, and every plain lane simulates its survivors, which on
-// program traces is 6-21% of the chunk.
+// program traces is 6-21% of the chunk. A bank with no hooks and no
+// snapshots can tee those survivors out (TeeSurvivors), and a bank of the
+// same filter geometry can later be fed them in place of the stream
+// (FeedStripped), skipping the filter and the histogram.
 //
 // Determinism: each lane consumes the chunk stream sequentially, in
 // order, exactly as the serial Bank's per-cache loop does, and the
@@ -36,6 +39,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -241,10 +245,7 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 		return
 	}
 	s := &ln.c.S
-	s.Reads += k[0]
-	s.GCReads += k[1]
-	s.Writes += k[2]
-	s.GCWrites += k[3]
+	addKinds(s, k)
 	s.ReadMisses += ln.ev[evReadMiss]
 	s.WriteMisses += ln.ev[evWriteMiss]
 	s.WriteAllocs += ln.ev[evWriteAlloc]
@@ -252,6 +253,14 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 	s.GCWriteMisses += ln.ev[evGCWriteMiss]
 	s.Writebacks += ln.ev[evWriteback]
 	s.GCWritebacks += ln.ev[evGCWriteback]
+}
+
+// addKinds adds a reference-kind histogram (see refKinds) to s.
+func addKinds(s *Stats, k *[4]uint64) {
+	s.Reads += k[0]
+	s.GCReads += k[1]
+	s.Writes += k[2]
+	s.GCWrites += k[3]
 }
 
 // FusedBank simulates a whole sweep against one reference stream with the
@@ -262,9 +271,9 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 // and snapshots are bitwise identical to Bank's either way.
 //
 // A bank is single-producer: one goroutine feeds it. Call Drain before
-// reading any cache's Stats; on an inline bank Drain does nothing, on a
-// sharded one it is the barrier that waits for every worker. After Drain
-// a sharded bank cannot be fed again.
+// reading any cache's Stats; on a sharded bank it is the barrier that
+// waits for every worker, and on a bank that tees or is fed survivors it
+// ends the stream. After Drain such a bank cannot be fed again.
 //
 // A bank's caches are fed only through the bank: its strip filter (see
 // strip.go) tracks the references its lanes have seen, so a reference
@@ -319,39 +328,47 @@ type fusedChunk struct {
 // clock. Its sets are nil when the bank runs unfiltered.
 type bankFilter struct {
 	stripFilter
-	offered uint64 // refs the filter read
+	offered uint64 // refs the filter read (on a fed bank, the stream's)
 	kept    uint64 // refs it passed to the plain lanes
 	ns      int64  // time in the filter
+
+	// kinds is the stream's reference-kind totals: the sum of its chunks'
+	// histograms, or on a fed bank the totals FeedStripped was given,
+	// which Drain adds to every cache.
+	kinds  [4]uint64
+	fed    bool            // the bank is fed survivors (FeedStripped)
+	tee    mem.BatchTracer // receives the survivors (TeeSurvivors)
+	teeBuf []mem.Ref       // survivors not yet handed to tee
 }
 
-// newBankFilter builds the strip filter of a bank of at least
-// stripMinLanes caches: at their coarsest block size, as large as their
-// smallest cache. A bank whose smallest cache is smaller than that block
-// runs unfiltered.
-func newBankFilter(caches []*Cache) bankFilter {
+// newBankFilter builds the strip filter of a bank of cfgs, of the
+// geometry StripGeometry gives, or none when it gives none.
+func newBankFilter(cfgs []Config) bankFilter {
 	var f bankFilter
-	if len(caches) < stripMinLanes {
-		return f
-	}
-	coarsest, capacity := caches[0], caches[0].cfg.SizeBytes
-	for _, c := range caches {
-		if c.blockShift > coarsest.blockShift {
-			coarsest = c
-		}
-		capacity = min(capacity, c.cfg.SizeBytes)
-	}
-	if shift := coarsest.blockShift; capacity >= 1<<shift {
-		f.stripFilter = stripFilter{sets: make([]stripEntry, capacity>>shift), shift: shift, wordMask: coarsest.wordMask}
+	if block, capacity, ok := StripGeometry(cfgs); ok {
+		shift := uint(bits.TrailingZeros(uint(block)))
+		f.stripFilter = stripFilter{sets: make([]stripEntry, capacity>>shift), shift: shift, wordMask: uint64(block/mem.WordBytes - 1)}
 	}
 	return f
 }
 
-// pass returns the references of refs the plain lanes simulate: refs
-// itself on an unfiltered bank, otherwise the filter's survivors, written
-// to *buf, which it grows to fit.
-func (f *bankFilter) pass(refs []mem.Ref, buf *[]mem.Ref) []mem.Ref {
+// prepare returns what the lanes take from one chunk: its reference-kind
+// histogram, and the references the plain lanes simulate. Those are refs
+// itself on an unfiltered bank. On a filtered bank they are the filter's
+// survivors, written to *buf, which it grows to fit, and handed on to the
+// tee. A fed bank's chunks are survivors already: it passes them on with
+// an empty histogram, since Drain adds the stream's totals instead.
+func (f *bankFilter) prepare(refs []mem.Ref, buf *[]mem.Ref) ([4]uint64, []mem.Ref) {
+	if f.fed {
+		f.kept += uint64(len(refs))
+		return [4]uint64{}, refs
+	}
+	kinds := refKinds(refs)
+	for i, n := range kinds {
+		f.kinds[i] += n
+	}
 	if f.sets == nil {
-		return refs
+		return kinds, refs
 	}
 	t0 := time.Now()
 	if len(*buf) < len(refs) {
@@ -361,7 +378,38 @@ func (f *bankFilter) pass(refs []mem.Ref, buf *[]mem.Ref) []mem.Ref {
 	f.offered += uint64(len(refs))
 	f.kept += uint64(len(passed))
 	f.ns += int64(time.Since(t0))
-	return passed
+	if f.tee != nil {
+		f.teeRefs(passed)
+	}
+	return kinds, passed
+}
+
+// teeRefs hands survivors to the tee in chunks of mem.ChunkRefs, so a
+// trace writer makes each a whole frame; finish hands on the rest.
+func (f *bankFilter) teeRefs(refs []mem.Ref) {
+	for len(refs) > 0 {
+		n := min(len(refs), mem.ChunkRefs-len(f.teeBuf))
+		f.teeBuf = append(f.teeBuf, refs[:n]...)
+		refs = refs[n:]
+		if len(f.teeBuf) == mem.ChunkRefs {
+			f.tee.RefBatch(f.teeBuf)
+			f.teeBuf = f.teeBuf[:0]
+		}
+	}
+}
+
+// finish ends the stream, at Drain: it hands the tee its last survivors
+// and adds a fed bank's kind totals to every cache, once.
+func (f *bankFilter) finish(caches []*Cache) {
+	if len(f.teeBuf) > 0 {
+		f.tee.RefBatch(f.teeBuf)
+		f.teeBuf = f.teeBuf[:0]
+	}
+	if f.fed {
+		for _, c := range caches {
+			addKinds(&c.S, &f.kinds)
+		}
+	}
 }
 
 // laneShard is a set of lanes simulated together on one goroutine, with
@@ -422,7 +470,7 @@ func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
 	for i, cfg := range cfgs {
 		b.Caches[i] = New(cfg)
 	}
-	b.filter = newBankFilter(b.Caches)
+	b.filter = newBankFilter(cfgs)
 	n = min(n, len(cfgs))
 	if n <= 1 {
 		b.inline = newLaneShard(b.Caches)
@@ -452,19 +500,18 @@ func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
 }
 
 // filterStage prepares every published chunk for the workers, in
-// publication order: it histograms the chunk's reference kinds and runs it
-// through the bank's strip filter, then hands it to every worker. Once the
-// producer closes the stage's input, it closes the workers'. A panic stops
-// the preparing but not the stage, which then returns each chunk to the
-// ring itself, so the producer never stalls; Drain re-raises it on the
-// caller.
+// publication order (bankFilter.prepare): it histograms the chunk's
+// reference kinds and runs it through the bank's strip filter, then hands
+// it to every worker. Once the producer closes the stage's input, it
+// closes the workers'. A panic stops the preparing but not the stage,
+// which then returns each chunk to the ring itself, so the producer never
+// stalls; Drain re-raises it on the caller.
 func (b *FusedBank) filterStage() {
 	defer b.wg.Done()
 	for ck := range b.stage {
 		if b.stagePanic == nil {
 			b.stagePanic = recovered("filter stage", func() {
-				ck.kinds = refKinds(ck.refs)
-				ck.passed = b.filter.pass(ck.refs, &ck.buf)
+				ck.kinds, ck.passed = b.filter.prepare(ck.refs, &ck.buf)
 			})
 		}
 		if b.stagePanic != nil {
@@ -536,8 +583,8 @@ func (b *FusedBank) chunk(refs []mem.Ref, clockAt uint64) {
 		return
 	}
 	if b.workers == nil {
-		kinds := refKinds(refs)
-		b.inline.step(refs, b.filter.pass(refs, &b.buf), &kinds, clockAt)
+		kinds, passed := b.filter.prepare(refs, &b.buf)
+		b.inline.step(refs, passed, &kinds, clockAt)
 		return
 	}
 	b.flush()
@@ -585,23 +632,27 @@ func (b *FusedBank) Ref(addr uint64, write, collector bool) {
 // Drain is the final barrier: it publishes any staged refs, stops the
 // filter stage and then the workers once they have finished every chunk,
 // waits for all of them, and folds the workers' stage clocks into the
-// bank's. After Drain returns, the caches' Stats are complete and safe to
-// read from any goroutine. A panic on the stage or a worker is re-raised
-// here, on the caller's goroutine, so the caller's recovery sees it as it
-// would an inline one. Drain is idempotent and does nothing on an inline
-// bank.
+// bank's. It then ends the stream: it hands a tee its last survivors and
+// adds a fed bank's kind totals to every cache. After Drain returns, the
+// caches' Stats are complete and safe to read from any goroutine. A panic
+// on the stage or a worker is re-raised here, on the caller's goroutine,
+// so the caller's recovery sees it as it would an inline one. Drain is
+// idempotent.
 func (b *FusedBank) Drain() {
-	if b.drained || b.workers == nil {
+	if b.drained {
 		return
 	}
 	b.drained = true
-	b.flush()
-	close(b.stage)
-	b.wg.Wait()
-	for _, s := range b.workers {
-		b.inline.simNs += s.simNs
-		b.inline.mergeNs += s.mergeNs
+	if b.workers != nil {
+		b.flush()
+		close(b.stage)
+		b.wg.Wait()
+		for _, s := range b.workers {
+			b.inline.simNs += s.simNs
+			b.inline.mergeNs += s.mergeNs
+		}
 	}
+	b.filter.finish(b.Caches)
 	if b.stagePanic != nil {
 		panic(b.stagePanic)
 	}
@@ -611,6 +662,70 @@ func (b *FusedBank) Drain() {
 		}
 	}
 }
+
+// Strippable reports whether the filter's survivors, with the stream's
+// kind totals, can stand in for the bank's stream: the bank filters, and
+// none of its caches is instrumented or takes snapshots. Then a chunk's
+// merge only adds its kind counts to each cache, so one add of the
+// totals after the last chunk gives the same Stats. Ask after every hook
+// and snapshot interval is set, before the first reference.
+func (b *FusedBank) Strippable() bool {
+	if b.filter.sets == nil {
+		return false
+	}
+	for _, c := range b.Caches {
+		if c.instrumented || c.snapInterval != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TeeSurvivors hands w the filter's survivors of every chunk, in stream
+// order, in chunks of mem.ChunkRefs and a last, shorter one at Drain, on
+// whichever goroutine runs the filter: the producer of an inline bank,
+// the filter stage of a sharded one. With KindTotals they are what
+// FeedStripped needs to replay the stream into a bank of the same
+// StripGeometry. It reports whether the bank tees, which it does only
+// when it is Strippable and not fed. Call it before the first reference,
+// and leave w alone until Drain returns.
+func (b *FusedBank) TeeSurvivors(w mem.BatchTracer) bool {
+	if !b.Strippable() || b.filter.fed {
+		return false
+	}
+	b.filter.tee = w
+	b.filter.teeBuf = make([]mem.Ref, 0, mem.ChunkRefs)
+	return true
+}
+
+// FeedStripped readies the bank to be fed, in place of a stream, the
+// survivors a bank of the same StripGeometry teed from it, given the
+// stream's kind totals (KindTotals). The bank then runs neither its filter
+// nor the per-chunk kind histogram, and Drain adds the totals to every
+// cache once, so each cache ends with the Stats the stream gives it.
+// StripRefs still describes the stream: offered is the totals' sum and
+// kept the references fed. Drain adds the totals however much of the
+// stream was fed, so a bank fed part of it has no exact Stats. It reports
+// whether the bank accepts, which it does only when it is Strippable and
+// not teeing. Call it before the first reference.
+func (b *FusedBank) FeedStripped(kinds [4]uint64) bool {
+	if !b.Strippable() || b.filter.tee != nil {
+		return false
+	}
+	b.filter.fed = true
+	b.filter.kinds = kinds
+	b.filter.offered = kinds[0] + kinds[1] + kinds[2] + kinds[3]
+	return true
+}
+
+// FedStripped reports whether the bank is fed survivors (FeedStripped).
+func (b *FusedBank) FedStripped() bool { return b.filter.fed }
+
+// KindTotals returns the reference-kind totals of the bank's stream,
+// indexed like refKinds: program reads, collector reads, program writes,
+// collector writes. A sharded bank counts them on its filter stage, so
+// read them only after Drain.
+func (b *FusedBank) KindTotals() [4]uint64 { return b.filter.kinds }
 
 // SetSnapshotClock installs the instruction clock consulted once per
 // live chunk for periodic snapshots (see Cache.EnableSnapshots). Must be

@@ -551,6 +551,85 @@ func TestFusedBankStripFilter(t *testing.T) {
 	}
 }
 
+// TestFusedBankStrippable pins which banks tee their survivors and take
+// a stripped stream: only a filtering bank with no instrumented lane and
+// no snapshots. Every other bank refuses both, tees nothing, and
+// simulates the whole stream as before; a teeing bank refuses a stripped
+// stream and a fed one refuses to tee. A strippable bank's KindTotals are
+// every cache's reference counts.
+func TestFusedBankStrippable(t *testing.T) {
+	stream := localStream(100_000)
+	grid := fig1Configs()
+	small := []Config{
+		{SizeBytes: 4 << 10, BlockBytes: 512, Policy: WriteValidate},
+		{SizeBytes: 256, BlockBytes: 16, Policy: WriteValidate},
+		{SizeBytes: 256, BlockBytes: 16, Policy: FetchOnWrite},
+	}
+	cases := []struct {
+		name  string
+		cfgs  []Config
+		arm   func(b *FusedBank) // hooks and snapshots, set before the stream
+		strip bool
+	}{
+		{"grid", grid, func(*FusedBank) {}, true},
+		{"two lanes", grid[:2], func(*FusedBank) {}, false},
+		{"smallest cache below the coarsest block", small, func(*FusedBank) {}, false},
+		{"miss hook", grid, func(b *FusedBank) { b.Caches[7].OnMiss(func(MissEvent) {}) }, false},
+		{"block stats", grid, func(b *FusedBank) { b.Caches[0].EnableBlockStats() }, false},
+		{"snapshots", grid, func(b *FusedBank) { b.Caches[39].EnableSnapshots(1000) }, false},
+	}
+	for _, tc := range cases {
+		serial := NewBank(tc.cfgs)
+		feedChunks(serial, stream)
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				teeing := NewFusedBankWorkers(tc.cfgs, workers)
+				tc.arm(teeing)
+				if got := teeing.Strippable(); got != tc.strip {
+					t.Fatalf("Strippable = %v, want %v", got, tc.strip)
+				}
+				var tee survivorTee
+				if got := teeing.TeeSurvivors(&tee); got != tc.strip {
+					t.Fatalf("TeeSurvivors = %v, want %v", got, tc.strip)
+				}
+				if teeing.FeedStripped([4]uint64{}) {
+					t.Fatal("a bank took a stripped stream after TeeSurvivors was called on it")
+				}
+				feedChunks(teeing, stream)
+				teeing.Drain()
+				sameStats(t, serial.Caches, teeing.Caches)
+				s := serial.Caches[0].S
+				if k := teeing.KindTotals(); k != [4]uint64{s.Reads, s.GCReads, s.Writes, s.GCWrites} {
+					t.Errorf("KindTotals = %v, serial reference counts %+v", k, s)
+				}
+				want := uint64(0)
+				if tc.strip {
+					_, want = teeing.StripRefs()
+				}
+				if got := uint64(len(tee.refs())); got != want {
+					t.Errorf("teed %d refs, want %d", got, want)
+				}
+
+				fed := NewFusedBankWorkers(tc.cfgs, workers)
+				tc.arm(fed)
+				if got := fed.FeedStripped(teeing.KindTotals()); got != tc.strip {
+					t.Fatalf("FeedStripped = %v, want %v", got, tc.strip)
+				}
+				if fed.TeeSurvivors(&survivorTee{}) {
+					t.Fatal("a bank teed after FeedStripped was called on it")
+				}
+				if tc.strip {
+					feedChunks(fed, tee.refs())
+				} else {
+					feedChunks(fed, stream) // a refusing bank filters the stream itself
+				}
+				fed.Drain()
+				sameStats(t, serial.Caches, fed.Caches)
+			})
+		}
+	}
+}
+
 // TestFusedBankEmpty covers the degenerate shapes: no configs, empty
 // chunks and an unfed bank, none of which may panic, deadlock, leak a
 // chunk or record anything; Drain is idempotent on all of them.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"gcsim/internal/mem"
@@ -164,8 +166,32 @@ func decodeOracleInput(data []byte) (cfgs []Config, chunk int, refs []mem.Ref) {
 	return cfgs, chunk, refs
 }
 
+// survivorTee collects the chunks a FusedBank tees out (TeeSurvivors).
+type survivorTee struct{ chunks [][]mem.Ref }
+
+func (s *survivorTee) RefBatch(refs []mem.Ref) {
+	s.chunks = append(s.chunks, append([]mem.Ref(nil), refs...))
+}
+
+func (s *survivorTee) Ref(addr uint64, write, collector bool) {
+	s.RefBatch([]mem.Ref{mem.MakeRef(addr, write, collector)})
+}
+
+// refs returns the teed survivors in one slice.
+func (s *survivorTee) refs() []mem.Ref {
+	var out []mem.Ref
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // matchOracle requires the oracle, the serial Bank and the FusedBank,
 // inline and on two workers, to accumulate equal Stats for every config.
+// A FusedBank that filters also tees its survivors out, inline and on two
+// workers, and a fresh bank of the same configs, inline and on two
+// workers, fed those survivors with the stream's kind totals must reach
+// the oracle's Stats as well.
 func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 	t.Helper()
 	want := make([]Stats, len(cfgs))
@@ -183,11 +209,43 @@ func matchOracle(t *testing.T, cfgs []Config, refs []mem.Ref, chunk int) {
 	serial := NewBank(cfgs)
 	feedChunksOf(serial, refs, chunk)
 	check("serial Bank", serial.Caches)
+	_, _, filters := StripGeometry(cfgs)
+	var survivors []mem.Ref
 	for _, workers := range []int{1, 2} {
 		fused := NewFusedBankWorkers(cfgs, workers)
+		var tee survivorTee
+		if teed := fused.TeeSurvivors(&tee); teed != filters {
+			t.Fatalf("%d workers: TeeSurvivors = %v on a bank whose StripGeometry ok = %v", workers, teed, filters)
+		}
 		feedChunksOf(fused, refs, chunk)
 		fused.Drain()
 		check("FusedBank", fused.Caches)
+		if !filters {
+			continue
+		}
+		got := tee.refs()
+		if workers > 1 && !slices.Equal(got, survivors) {
+			t.Fatalf("%d workers teed %d survivors, inline %d, or in another order", workers, len(got), len(survivors))
+		}
+		survivors = got
+		offered, kept := fused.StripRefs()
+		for _, fedWorkers := range []int{1, 2} {
+			fed := NewFusedBankWorkers(cfgs, fedWorkers)
+			if !fed.FeedStripped(fused.KindTotals()) {
+				t.Fatalf("%d workers: a fresh bank refused the survivors", fedWorkers)
+			}
+			for _, c := range tee.chunks {
+				if len(c) > mem.ChunkRefs {
+					t.Fatalf("teed a chunk of %d refs, more than %d", len(c), mem.ChunkRefs)
+				}
+				fed.ChunkBatch(c, 0)
+			}
+			fed.Drain()
+			check(fmt.Sprintf("FusedBank fed the survivors teed on %d workers, on %d", workers, fedWorkers), fed.Caches)
+			if o, k := fed.StripRefs(); o != offered || k != kept {
+				t.Fatalf("fed bank's StripRefs = %d, %d; the teeing bank's %d, %d", o, k, offered, kept)
+			}
+		}
 	}
 }
 

@@ -31,9 +31,34 @@
 // The argument needs every reference a lane sees to pass through the
 // filter first, in stream order, and nothing else to change the lanes'
 // state: so a FusedBank's caches are fed only through the bank.
+//
+// The survivors are exact for any bank whose filter has the same geometry
+// (StripGeometry), since the argument needs only that every lane's block
+// divides B and C divides its size. A bank with no instrumented lane and
+// no snapshots merges only kind counts per chunk, so it can tee its
+// survivors out (FusedBank.TeeSurvivors), and a later bank of the same
+// geometry can replay them in place of the stream, adding the stream's
+// kind totals once at Drain (FusedBank.FeedStripped).
 package cache
 
 import "gcsim/internal/mem"
+
+// StripGeometry returns the geometry of the strip filter a bank of cfgs
+// runs: block, its coarsest block size, and capacity, its smallest cache,
+// both in bytes. ok is false when such a bank runs unfiltered: it has
+// fewer than stripMinLanes configurations, or its smallest cache is
+// smaller than its coarsest block.
+func StripGeometry(cfgs []Config) (block, capacity int, ok bool) {
+	if len(cfgs) < stripMinLanes {
+		return 0, 0, false
+	}
+	block, capacity = cfgs[0].BlockBytes, cfgs[0].SizeBytes
+	for _, c := range cfgs[1:] {
+		block = max(block, c.BlockBytes)
+		capacity = min(capacity, c.SizeBytes)
+	}
+	return block, capacity, capacity >= block
+}
 
 // stripMinLanes is the smallest number of lanes, of any block sizes, for
 // which a bank's filter pays: with one or two lanes behind it, it cost
@@ -45,6 +70,13 @@ import "gcsim/internal/mem"
 // "Strip filter"). Instrumented lanes count toward it, since their hooks
 // are attached after the bank is built.
 const stripMinLanes = 3
+
+// StripRule names the rule that decides which references survive the
+// filter (stripFilter.strip), and what a lane counts of a reference it
+// simulates or of one it is spared. Survivors stored under one rule are
+// exact only for lanes of that rule, so a store of them keys them by it:
+// bump it with any change to either.
+const StripRule = 1
 
 // stripEntry is one filter set, 24 bytes: the block that last took it,
 // and masks of its words seen since, indexed by the packed ref's write bit

@@ -301,9 +301,9 @@ func runSweepWith(ctx context.Context, tc *TraceCache, w *workloads.Workload, sc
 // the bank (lanes sharded across Parallelism() workers), arms snapshots,
 // lets feed drive the stream into the bank, and drains the bank on every
 // path before any statistic is read. feed returns the run, which on
-// failure may be partial and carry a record. Every record gets per-cache
-// results; a completed one also gets a closing snapshot sample and the
-// snapshot overhead.
+// failure may be partial and carry a record. Every record but a cut
+// stripped replay's gets per-cache results; a completed one also gets a
+// closing snapshot sample and the snapshot overhead.
 func sweep(cfgs []cache.Config, feed func(*cache.FusedBank) (*RunResult, error)) (*SweepResult, error) {
 	bank := cache.NewFusedBankWorkers(cfgs, Parallelism())
 	defer bank.Drain() // stops the workers even if feed panics
@@ -319,8 +319,10 @@ func sweep(cfgs []cache.Config, feed func(*cache.FusedBank) (*RunResult, error))
 	if err != nil {
 		// A failed or interrupted run's partial record still gets its cache
 		// results: the bank has consumed every reference delivered, so the
-		// statistics are exact for the truncated reference stream.
-		if run != nil && run.Record != nil {
+		// statistics are exact for the truncated reference stream. A cut
+		// replay of a stripped trace gets none: the reference counts of the
+		// prefix it read are not known, only the whole trace's.
+		if run != nil && run.Record != nil && !bank.FedStripped() {
 			for _, c := range bank.Caches {
 				run.Record.Caches = append(run.Record.Caches, telemetry.CacheRecordOf(c, run.Insns))
 			}

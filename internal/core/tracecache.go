@@ -65,6 +65,29 @@ type TraceMeta struct {
 	Counters      mem.Counters `json:"counters"`
 	GCStats       gc.Stats     `json:"gc_stats"`
 	RecordedAt    string       `json:"recorded_at"` // RFC 3339
+	// Strip is set on a stripped trace's entry only (see StripInfo).
+	Strip *StripInfo `json:"strip,omitempty"`
+}
+
+// StripInfo marks an index entry as a stripped trace's: the survivors of
+// a trace's stream through a fused bank's strip filter of one geometry
+// (cache.StripGeometry) under one strip rule (cache.StripRule), which
+// replay in place of the trace into any bank of that geometry that is
+// cache.FusedBank.Strippable. It holds the stream's reference-kind
+// totals, which the bank adds once at Drain. The entry describes a
+// stream, not a run: two runs can record the same bytes (a collector that
+// never collects), and their traces share it. So besides Strip it fills
+// only the schema, the format version, and the stripped blob's SHA256,
+// Refs and TraceBytes, with RecordedAt the time it was built.
+type StripInfo struct {
+	Rule          int    `json:"strip_rule"`    // cache.StripRule
+	Source        string `json:"source_sha256"` // the trace's blob
+	BlockBytes    int    `json:"block_bytes"`
+	CapacityBytes int    `json:"capacity_bytes"`
+	Reads         uint64 `json:"reads"`
+	GCReads       uint64 `json:"gc_reads"`
+	Writes        uint64 `json:"writes"`
+	GCWrites      uint64 `json:"gc_writes"`
 }
 
 // TraceIndex maps trace keys to their sidecar metadata. Implementations
@@ -559,8 +582,10 @@ func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale i
 // drive the shared sweep path from the trace: a SharedReplayer decodes
 // each frame exactly once and the fused bank simulates the chunk against
 // every configuration, with no per-config decode and no per-ref dispatch.
-// The cache only ever holds v2 traces (the format version is part of the
-// key), so a blob the shared decoder refuses is a corrupt entry.
+// A bank that can take a stripped trace (openStream) replays the one of
+// its filter geometry, or builds it while it replays the trace. The cache
+// only ever holds v2 traces (the format version is part of the key), so a
+// blob the shared decoder refuses is a corrupt entry.
 func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
 	if scale == 0 {
 		scale = w.DefaultScale
@@ -570,41 +595,39 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 		return nil, err
 	}
 
-	// With a COW store, opening the blob is where a trace recorded on
-	// another node is pulled through into local storage — once.
-	id, err := castore.ParseID(meta.SHA256)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: bad sha256 in sidecar: %w", err)
-	}
-	f, err := castore.Open(ctx, tc.blobs, id)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: open trace %s: %w", meta.SHA256, err)
-	}
-	defer f.Close()
-
-	sr, err := traceio.NewSharedReplayer(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: corrupt entry %s: %w", meta.SHA256, err)
-	}
-	fusedSweepCount.Add(1)
-	sr.SetDecoders(Parallelism())
 	// Snapshots need no clock wiring: every frame carries the instruction
 	// stamp the recording machine published at that chunk boundary, and
 	// ChunkBatch samples at those stamps — snapshots land on identical
 	// insns_at values to a live run's.
 	return sweep(cfgs, func(bank *cache.FusedBank) (*RunResult, error) {
+		in, err := tc.openStream(ctx, meta, cfgs, bank)
+		if err != nil {
+			return nil, err
+		}
+		// Deferred calls run last first: a sharded bank tees on its filter
+		// stage, so the bank drains before an unfiled build is aborted.
+		defer in.close()
+		defer bank.Drain()
+
+		sr, err := traceio.NewSharedReplayer(in.f)
+		if err != nil {
+			return nil, fmt.Errorf("core: trace cache: corrupt entry %s: %w", in.meta.SHA256, err)
+		}
+		fusedSweepCount.Add(1)
+		sr.SetDecoders(Parallelism())
 		prog := progress()
-		prog.Printf("replay %s gc=%s started (%d refs cached, fused across %d configs)",
-			w.Name, meta.Collector, meta.Refs, len(cfgs))
+		prog.Printf("replay %s gc=%s started (%d refs cached, fused across %d configs, %s stream)",
+			w.Name, meta.Collector, meta.Refs, len(cfgs), in.stream)
 		spanCtx, span := Spans().StartSpan(ctx, telemetry.StageReplay)
 		span.SetAttr("path", "fused")
+		span.SetAttr("stream", in.stream)
 		span.SetAttr("configs", fmt.Sprint(len(cfgs)))
 		start := time.Now()
 		n, err := sr.Run(ctx, bank)
 		bank.Drain() // the stage clocks and the wall time include the workers' tail
 		dur := time.Since(start)
 		span.End()
-		emitReplayStages(spanCtx, start, sr.DecodeSeconds(), bank)
+		emitReplayStages(spanCtx, start, sr.DecodeSeconds(), sr.Frames(), bank)
 		decodeOnceFrames.Add(sr.Frames())
 
 		switch {
@@ -612,15 +635,16 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 			// Match the live path's contract: the error satisfies both
 			// ctx.Err() and vm.ErrInterrupted under errors.Is.
 			err = fmt.Errorf("%w: %w", vm.ErrInterrupted, err)
-		case err == nil && n != meta.Refs:
+		case err == nil && n != in.meta.Refs:
 			err = fmt.Errorf("core: trace cache: %s replayed %d refs, sidecar says %d — corrupt entry?",
-				meta.SHA256, n, meta.Refs)
+				in.meta.SHA256, n, in.meta.Refs)
 		}
 		if err != nil {
 			prog.Printf("replay %s gc=%s failed: %v", w.Name, meta.Collector, err)
 		} else {
 			prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
 				w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
+			tc.fileStripped(in, bank)
 		}
 
 		run := &RunResult{
@@ -649,22 +673,218 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	})
 }
 
+// replayStream is the stream a replay reads: a trace's blob or one of its
+// stripped traces', and, while a strippable bank replays a trace with no
+// stripped trace of its geometry filed, the build of that one.
+type replayStream struct {
+	meta   *TraceMeta // the entry of the blob read
+	stream string     // "full" or "stripped": the replay span's stream
+	f      io.ReadSeekCloser
+	build  *stripBuild
+}
+
+// stripBuild writes the survivors a bank tees out (cache.FusedBank.
+// TeeSurvivors) into a trace blob, filed under key once the replay that
+// feeds the bank completes. It holds key's lock until it is filed or
+// discarded.
+type stripBuild struct {
+	key             string
+	lock            *sync.Mutex
+	block, capacity int
+	blob            castore.BlobWriter
+	cw              *countWriter
+	bw              *traceio.BatchWriter
+}
+
+// openStream opens the stream a replay of meta's trace into bank reads. A
+// bank that is Strippable replays the stripped trace of its filter's
+// geometry, if one is filed and its blob is on this node; if not, it
+// replays the trace and tees its survivors into a build of one. Any other
+// bank replays the trace. Stripped traces are built, filed and read on
+// the node's own blob store and index, and never claimed or published
+// through a cluster.
+func (tc *TraceCache) openStream(ctx context.Context, meta *TraceMeta, cfgs []cache.Config, bank *cache.FusedBank) (*replayStream, error) {
+	in := &replayStream{meta: meta, stream: "full"}
+	if block, capacity, ok := cache.StripGeometry(cfgs); ok && bank.Strippable() {
+		key := stripKey(meta.SHA256, block, capacity)
+		sm, err := tc.loadStripped(ctx, key, meta, block, capacity)
+		if err != nil {
+			return nil, err
+		}
+		if sm != nil {
+			si := sm.Strip
+			bank.FeedStripped([4]uint64{si.Reads, si.GCReads, si.Writes, si.GCWrites}) // the bank is Strippable
+			f, err := openBlob(ctx, tc.local, sm.SHA256)
+			if err != nil {
+				return nil, err
+			}
+			return &replayStream{meta: sm, stream: "stripped", f: f}, nil
+		}
+		in.build = tc.startStrip(ctx, key, block, capacity, bank)
+	}
+	f, err := openBlob(ctx, tc.blobs, meta.SHA256)
+	if err != nil {
+		in.close()
+		return nil, err
+	}
+	in.f = f
+	return in, nil
+}
+
+// close closes the blob and discards a build not filed. A sharded bank
+// tees on its filter stage, so call it only once the bank has drained.
+func (in *replayStream) close() {
+	if in.f != nil {
+		in.f.Close()
+	}
+	if b := in.build; b != nil {
+		b.bw.Abort()
+		b.blob.Abort()
+		b.lock.Unlock()
+	}
+}
+
+// openBlob opens the blob whose sha256 an entry names.
+func openBlob(ctx context.Context, blobs castore.Store, sha string) (io.ReadSeekCloser, error) {
+	id, err := castore.ParseID(sha)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: bad sha256 in sidecar: %w", err)
+	}
+	// With a COW store, opening the blob is where a trace recorded on
+	// another node is pulled through into local storage — once.
+	f, err := castore.Open(ctx, blobs, id)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: open trace %s: %w", sha, err)
+	}
+	return f, nil
+}
+
+// stripKey derives the index key of the stripped trace of the trace whose
+// blob is sha, through a strip filter of block-byte blocks and capacity
+// bytes under the current strip rule (cache.StripRule), so survivors
+// filed under an older rule are never found.
+func stripKey(sha string, block, capacity int) string {
+	id := castore.Sum([]byte(fmt.Sprintf("gcsim-strip|r%d|%s|b%d|c%d", cache.StripRule, sha, block, capacity)))
+	return id.String()[:24]
+}
+
+// loadStripped returns the stripped trace filed under key for meta's
+// trace, or nil when none is filed or its blob is gone: a miss, which the
+// replay builds again. An entry that describes another trace, geometry,
+// strip rule or format, or whose kind totals do not add up to the trace's
+// references, is an error, as a trace's mismatched sidecar is (loadLocal).
+func (tc *TraceCache) loadStripped(ctx context.Context, key string, meta *TraceMeta, block, capacity int) (*TraceMeta, error) {
+	sm, err := tc.index.Load(key)
+	if err != nil || sm == nil {
+		return nil, err
+	}
+	si := sm.Strip
+	if sm.Schema != TraceMetaSchema || sm.FormatVersion != traceio.FormatVersion || si == nil ||
+		si.Rule != cache.StripRule || si.Source != meta.SHA256 || si.BlockBytes != block || si.CapacityBytes != capacity ||
+		si.Reads+si.GCReads+si.Writes+si.GCWrites != meta.Refs {
+		return nil, fmt.Errorf("core: trace cache: %s is not the v%d stripped trace of %s through a %d-byte filter of %d-byte blocks under strip rule %d",
+			key, traceio.FormatVersion, meta.SHA256, capacity, block, cache.StripRule)
+	}
+	id, err := castore.ParseID(sm.SHA256)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: %s: bad sha256: %w", key, err)
+	}
+	ok, err := tc.local.Exists(ctx, id)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: %w", err)
+	}
+	if !ok {
+		return nil, nil
+	}
+	return sm, nil
+}
+
+// startStrip starts the build of the stripped trace under key and tees
+// bank's survivors into it. It returns nil, and the replay goes on without
+// a build, while another sweep of this process builds the same one (two
+// would write one sidecar at once), or if the blob or its writer cannot
+// be started.
+func (tc *TraceCache) startStrip(ctx context.Context, key string, block, capacity int, bank *cache.FusedBank) *stripBuild {
+	lock := tc.keyLock(key)
+	if !lock.TryLock() {
+		return nil
+	}
+	blob, err := castore.Ingest(ctx, tc.local)
+	if err != nil {
+		lock.Unlock()
+		progress().Printf("trace cache: not stripping: %v", err)
+		return nil
+	}
+	cw := &countWriter{w: blob}
+	bw, err := traceio.NewBatchWriter(cw, traceio.WriterOpts{})
+	if err != nil {
+		blob.Abort()
+		lock.Unlock()
+		progress().Printf("trace cache: not stripping: %v", err)
+		return nil
+	}
+	bank.TeeSurvivors(bw) // openStream found the bank Strippable, and not fed
+	return &stripBuild{key: key, lock: lock, block: block, capacity: capacity, blob: blob, cw: cw, bw: bw}
+}
+
+// fileStripped seals the build of a completed replay, if there is one,
+// and files its entry: the blob first and the entry second, as record
+// does. A build that fails files nothing and does not fail the sweep; the
+// next sweep of the geometry builds again.
+func (tc *TraceCache) fileStripped(in *replayStream, bank *cache.FusedBank) {
+	b := in.build
+	if b == nil {
+		return
+	}
+	in.build = nil
+	defer b.lock.Unlock()
+	err := b.bw.Close()
+	if err != nil {
+		b.blob.Abort()
+	}
+	var id castore.ID
+	if err == nil {
+		id, err = b.blob.Commit()
+	}
+	if err == nil {
+		k := bank.KindTotals()
+		err = tc.index.Save(b.key, &TraceMeta{
+			Schema:        TraceMetaSchema,
+			FormatVersion: traceio.FormatVersion,
+			SHA256:        id.String(),
+			Refs:          b.bw.Count(),
+			TraceBytes:    b.cw.n,
+			RecordedAt:    time.Now().UTC().Format(time.RFC3339),
+			Strip: &StripInfo{Rule: cache.StripRule, Source: in.meta.SHA256, BlockBytes: b.block, CapacityBytes: b.capacity,
+				Reads: k[0], GCReads: k[1], Writes: k[2], GCWrites: k[3]},
+		})
+	}
+	if err != nil {
+		progress().Printf("trace cache: stripped trace of %s not filed: %v", in.meta.SHA256[:16], err)
+		return
+	}
+	progress().Printf("trace cache: stripped %s through %d-byte blocks of %d bytes: %d of %d refs, %d bytes",
+		in.meta.SHA256[:16], b.block, b.capacity, b.bw.Count(), in.meta.Refs, b.cw.n)
+}
+
 // emitReplayStages records the fused sweep's stage clocks as synthesized
 // child spans of the replay span (ctx must carry it). The clocks are
 // per-chunk measurements summed across decoder goroutines and lanes, so
 // each child is an aggregate — marked as such, sharing the replay's start
 // time — and their durations can exceed the replay's wall time. The
-// simulate span also carries the bank's strip filter counts
-// (strip_offered, strip_kept; see FusedBank.StripRefs).
-func emitReplayStages(ctx context.Context, start time.Time, decodeSec float64, bank *cache.FusedBank) {
+// decode span carries the frames decoded, and the simulate span the
+// bank's strip filter counts (strip_offered, strip_kept; see
+// FusedBank.StripRefs).
+func emitReplayStages(ctx context.Context, start time.Time, decodeSec float64, frames uint64, bank *cache.FusedBank) {
 	r := Spans()
 	if r == nil {
 		return
 	}
 	agg := map[string]string{"aggregate": "true"}
+	dec := map[string]string{"aggregate": "true", "frames": fmt.Sprint(frames)}
 	offered, kept := bank.StripRefs()
 	sim := map[string]string{"aggregate": "true", "strip_offered": fmt.Sprint(offered), "strip_kept": fmt.Sprint(kept)}
-	r.Emit(ctx, telemetry.StageDecode, start, time.Duration(decodeSec*float64(time.Second)), agg)
+	r.Emit(ctx, telemetry.StageDecode, start, time.Duration(decodeSec*float64(time.Second)), dec)
 	r.Emit(ctx, telemetry.StageSimulate, start, time.Duration(bank.SimulateSeconds()*float64(time.Second)), sim)
 	r.Emit(ctx, telemetry.StageMerge, start, time.Duration(bank.MergeSeconds()*float64(time.Second)), agg)
 }

@@ -301,19 +301,25 @@ func (m *Memory) CollectorMode() bool { return m.collector }
 
 // Load reads the word at addr, counting and tracing the reference.
 //
-// The accessor bodies below are written to stay under the inlining budget:
-// the common case — a staging slot is free — is three or four instructions,
-// and everything else (sealing a full chunk, unbatched counting and
-// forwarding) lives behind one refSlow call. The sealing reference is
-// stored and delivered inside its own accessor call, so frame boundaries
-// and the instruction clock observed at every seal are identical to the
-// old append-then-flush staging.
+// None of the accessors fits Go's inlining budget, so each is one real
+// call, and on its common path it makes no other: the staging case — a
+// slot is free — is three or four instructions, and a heap address is
+// looked up in the inlined dynPage. Everything else lives behind one
+// call: sealing a full chunk, and unbatched counting and forwarding,
+// behind refSlow; other addresses, and the region checks and panics,
+// behind load and store. The reference that fills a chunk is stored and
+// the chunk delivered inside that reference's own accessor call, so a
+// chunk boundary and the instruction clock read at it fall on the same
+// reference whichever accessor made it.
 func (m *Memory) Load(addr uint64) scheme.Word {
 	if p := m.pos; p < ChunkRefs-1 {
 		m.chunk[p] = Ref(addr) | m.mode
 		m.pos = p + 1
 	} else {
 		m.refSlow(Ref(addr) | m.mode)
+	}
+	if pg, i := m.dynPage(addr); pg != nil {
+		return pg[i]
 	}
 	return m.load(addr)
 }
@@ -325,6 +331,10 @@ func (m *Memory) Store(addr uint64, w scheme.Word) {
 		m.pos = p + 1
 	} else {
 		m.refSlow(Ref(addr) | RefWrite | m.mode)
+	}
+	if pg, i := m.dynPage(addr); pg != nil {
+		pg[i] = w
+		return
 	}
 	m.store(addr, w)
 }
@@ -426,15 +436,24 @@ func (m *Memory) CorruptWord(addr uint64, xor uint64) scheme.Word {
 	return old
 }
 
+// dynPage returns the dynamic page holding addr and addr's index in it,
+// or a nil page when addr is below the dynamic area or its page is not
+// materialized.
+func (m *Memory) dynPage(addr uint64) ([]scheme.Word, uint64) {
+	i := addr - DynBase
+	if addr < DynBase || i>>pageShift >= uint64(len(m.dyn)) {
+		return nil, 0
+	}
+	return m.dyn[i>>pageShift], i & pageMask
+}
+
 func (m *Memory) load(addr uint64) scheme.Word {
+	if pg, i := m.dynPage(addr); pg != nil {
+		return pg[i]
+	}
 	switch {
 	case addr >= DynBase:
-		i := addr - DynBase
-		pi := i >> pageShift
-		if pi >= uint64(len(m.dyn)) || m.dyn[pi] == nil {
-			panic(fmt.Sprintf("mem: load beyond dynamic area: %#x", addr))
-		}
-		return m.dyn[pi][i&pageMask]
+		panic(fmt.Sprintf("mem: load beyond dynamic area: %#x", addr))
 	case addr >= StaticBase:
 		i := addr - StaticBase
 		if i >= uint64(len(m.static)) {
@@ -450,14 +469,13 @@ func (m *Memory) load(addr uint64) scheme.Word {
 }
 
 func (m *Memory) store(addr uint64, w scheme.Word) {
+	if pg, i := m.dynPage(addr); pg != nil {
+		pg[i] = w
+		return
+	}
 	switch {
 	case addr >= DynBase:
-		i := addr - DynBase
-		pi := i >> pageShift
-		if pi >= uint64(len(m.dyn)) || m.dyn[pi] == nil {
-			panic(fmt.Sprintf("mem: store beyond dynamic area: %#x", addr))
-		}
-		m.dyn[pi][i&pageMask] = w
+		panic(fmt.Sprintf("mem: store beyond dynamic area: %#x", addr))
 	case addr >= StaticBase:
 		i := addr - StaticBase
 		if i >= uint64(len(m.static)) {

@@ -315,10 +315,11 @@ func defLists() {
 		}
 		out := vm.arg(n - 1)
 		for i := n - 2; i >= 0; i-- {
-			var items []Word
+			items := vm.scratch[:0]
 			for w := vm.arg(i); w != scheme.Nil; w = vm.cdr(w) {
 				items = append(items, vm.car(w))
 			}
+			vm.scratch = items
 			for j := len(items) - 1; j >= 0; j-- {
 				out = vm.cons(items[j], out)
 			}
@@ -444,10 +445,11 @@ func defVectors() {
 		return out
 	})
 	def("list->vector", 1, false, 6, func(vm *Machine, n int) Word {
-		var items []Word
+		items := vm.scratch[:0]
 		for w := vm.arg(0); w != scheme.Nil; w = vm.cdr(w) {
 			items = append(items, vm.car(w))
 		}
+		vm.scratch = items
 		v := vm.makeVector(len(items), scheme.Unspec)
 		addr := scheme.PtrAddr(v)
 		for i, w := range items {

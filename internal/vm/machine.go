@@ -80,6 +80,12 @@ type Machine struct {
 	// set — telemetry never touches the per-reference path.
 	OnGC func(gc.Event)
 
+	// scratch holds the list items of the append and list->vector
+	// builtins, so neither allocates a Go slice per call. Neither builtin
+	// re-enters Scheme and alloc never collects, so one call's items are
+	// dead before another call reuses the slice.
+	scratch []Word
+
 	halted bool
 }
 
